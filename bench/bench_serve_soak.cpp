@@ -22,8 +22,9 @@
 // and deadline hit-rate, the Jain fairness index over per-tenant served
 // fractions, reject/shed rates, and per-class/per-tenant cost.* rollups
 // from the cost ledger. Exit is non-zero when any deadline class's
-// hit-rate drops below 95% or Jain drops below 0.9 — the soak is a gate,
-// not just a report.
+// hit-rate drops below 95%, any class's cache-hit p50 latency exceeds
+// kHitLatencyP50BoundUs, or Jain drops below 0.9 — the soak is a gate, not
+// just a report.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -90,6 +91,15 @@ std::vector<net::SloClassSpec> soak_classes() {
 
 constexpr int kClasses = 3;
 
+/// Gate on each class's cache-hit p50 latency (client send to reply
+/// receipt, with up to 32 requests pipelined per connection). A hit is
+/// answered on the connection thread, so this bounds the socket path, and
+/// it trips when hits queue behind miss batches again. Measured on a
+/// 4-vCPU VM: 0.49-0.55 ms at the CI scale (4 connections, fast mode),
+/// 1.2-1.8 ms with 8 connections, 0.89-0.98 ms at full overlay size; the
+/// bound leaves about 3x headroom over the worst of these.
+constexpr double kHitLatencyP50BoundUs = 5'000.0;
+
 struct Sent {
   std::uint32_t tenant_idx = 0;
   std::uint8_t class_id = 0;
@@ -98,6 +108,7 @@ struct Sent {
 
 struct ConnTally {
   std::vector<double> latencies_us[kClasses];  ///< kOk only, per class
+  std::vector<double> hit_latencies_us[kClasses];  ///< kOk cache hits
   std::uint64_t sent = 0;
   std::uint64_t ok[kClasses] = {0, 0, 0};
   std::uint64_t deadline_missed[kClasses] = {0, 0, 0};
@@ -227,12 +238,14 @@ int main() {
       std::uint64_t request_id = 0;
       bool is_reject = false;
       std::uint8_t status = 0;
+      bool cache_hit = false;
       std::uint8_t reason = 0;
       if (frame.type() == net::FrameType::kResponse) {
         auto msg = net::decode_response(frame);
         if (!msg) return false;
         request_id = msg->request_id;
         status = msg->status;
+        cache_hit = (msg->flags & net::kRespCacheHit) != 0;
       } else if (frame.type() == net::FrameType::kReject) {
         auto msg = net::decode_reject(frame);
         if (!msg) return false;
@@ -254,12 +267,14 @@ int main() {
         return true;
       }
       switch (static_cast<ServeStatus>(status)) {
-        case ServeStatus::kOk:
+        case ServeStatus::kOk: {
           ++tally.ok[cls];
           ++tally.ok_by_tenant[sent.tenant_idx];
-          tally.latencies_us[cls].push_back(
-              static_cast<double>(steady_us() - sent.t_us));
+          const auto latency = static_cast<double>(steady_us() - sent.t_us);
+          tally.latencies_us[cls].push_back(latency);
+          if (cache_hit) tally.hit_latencies_us[cls].push_back(latency);
           break;
+        }
         case ServeStatus::kRejected:  // travels as kReject frames instead
         case ServeStatus::kDeadlineMiss:
           ++tally.deadline_missed[cls];
@@ -387,6 +402,7 @@ int main() {
   std::uint64_t missed[kClasses] = {0, 0, 0};
   std::uint64_t failed[kClasses] = {0, 0, 0};
   std::vector<double> latencies[kClasses];
+  std::vector<double> hit_latencies[kClasses];
   std::map<std::uint32_t, double> offered_by_tenant, ok_by_tenant;
   double closed_rate_total = 0.0;
   for (const ConnTally& t : tallies) {
@@ -402,6 +418,9 @@ int main() {
       failed[c] += t.failed[c];
       latencies[c].insert(latencies[c].end(), t.latencies_us[c].begin(),
                           t.latencies_us[c].end());
+      hit_latencies[c].insert(hit_latencies[c].end(),
+                              t.hit_latencies_us[c].begin(),
+                              t.hit_latencies_us[c].end());
     }
     for (const auto& [tenant, n] : t.offered_by_tenant)
       offered_by_tenant[tenant] += static_cast<double>(n);
@@ -522,6 +541,8 @@ int main() {
     const double p50 = percentile(latencies[c], 0.50);
     const double p90 = percentile(latencies[c], 0.90);
     const double p99 = percentile(latencies[c], 0.99);
+    std::sort(hit_latencies[c].begin(), hit_latencies[c].end());
+    const double hit_p50 = percentile(hit_latencies[c], 0.50);
     const std::uint64_t counted = ok[c] + missed[c] + failed[c];
     // Hit rate over COUNTED requests: rejects are load shedding, reported
     // separately, same convention as SloLedger.
@@ -535,6 +556,7 @@ int main() {
     record_value(prefix + "latency_p50_us", p50);
     record_value(prefix + "latency_p90_us", p90);
     record_value(prefix + "latency_p99_us", p99);
+    record_value(prefix + "hit_latency_p50_us", hit_p50);
     Log2Histogram hist;
     for (double v : latencies[c])
       hist.record(static_cast<std::uint64_t>(v));
@@ -544,6 +566,8 @@ int main() {
                    format_double(hit_rate, 4)});
     table.add_row({classes[c].name + " p50/p99 (us)",
                    format_double(p50, 0) + " / " + format_double(p99, 0)});
+    table.add_row({classes[c].name + " cache-hit p50 (us)",
+                   format_double(hit_p50, 0)});
 
     // The gate: deadline classes must hold 95%. Best-effort classes have
     // no deadline to miss, but a failure spike still trips via kFailed.
@@ -552,6 +576,13 @@ int main() {
     if (counted > 0 && hit_rate < bar) {
       std::cerr << "error: class " << classes[c].name << " hit rate "
                 << hit_rate << " below " << bar << "\n";
+      gates_ok = false;
+    }
+    // NaN (no hits at all) fails too: the soak is built to hit the cache.
+    if (!(hit_p50 <= kHitLatencyP50BoundUs)) {
+      std::cerr << "error: class " << classes[c].name
+                << " cache-hit p50 latency " << hit_p50 << " us above "
+                << kHitLatencyP50BoundUs << " us\n";
       gates_ok = false;
     }
 

@@ -79,7 +79,8 @@ std::optional<WelcomeMsg> NetClient::hello(const std::string& tenant,
 std::optional<NetClient::Result> NetClient::request(const RequestMsg& req,
                                                     int timeout_ms) {
   if (!send_request(req)) return std::nullopt;
-  // Responses on one connection are FIFO, but skip unrelated Pongs.
+  // The server answers in completion order, so a synchronous caller with
+  // one request in flight gets its own reply next; skip unrelated Pongs.
   for (;;) {
     auto frame = read_frame(timeout_ms);
     if (!frame) return std::nullopt;

@@ -1,9 +1,15 @@
 #include "net/server.hpp"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include "net/socket.hpp"
 #include "obs/trace.hpp"
@@ -14,6 +20,74 @@ namespace {
 constexpr int kAcceptPollMs = 100;
 constexpr int kRecvPollMs = 100;
 constexpr int kTransientBackoffMs = 10;
+
+/// Completion wake-up of one connection. Replies complete on broker
+/// threads, or inside submit() for cache hits and immediate refusals; each
+/// completion appends its reply slot here, so slots queue in completion
+/// order. The eventfd is written only when the connection thread armed
+/// itself just before parking in poll(): completions that land while it is
+/// busy, cache hits among them, cost no syscall. Completion callbacks own
+/// a shared_ptr, so one that lands after the connection closed still finds
+/// a live object and an open fd.
+class ReplyNotifier {
+ public:
+  ReplyNotifier() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+  ~ReplyNotifier() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ReplyNotifier(const ReplyNotifier&) = delete;
+  ReplyNotifier& operator=(const ReplyNotifier&) = delete;
+
+  int fd() const noexcept { return fd_; }
+
+  /// Any thread: reply `slot` is ready.
+  void complete(std::size_t slot) {
+    bool wake = false;
+    {
+      std::lock_guard lock(mutex_);
+      done_.push_back(slot);
+      wake = std::exchange(armed_, false);
+    }
+    if (wake) {
+      const std::uint64_t one = 1;
+      [[maybe_unused]] const ssize_t rc = ::write(fd_, &one, sizeof(one));
+    }
+  }
+
+  /// Connection thread, before parking: arms the wake-up unless a
+  /// completion is already queued. False = do not park, flush instead.
+  bool arm() {
+    std::lock_guard lock(mutex_);
+    armed_ = done_.empty();
+    return armed_;
+  }
+
+  /// Connection thread, after poll() returned: later completions queue
+  /// silently until the next arm().
+  void disarm() {
+    std::lock_guard lock(mutex_);
+    armed_ = false;
+  }
+
+  /// Connection thread: swaps the completed slots, oldest first, into
+  /// `out` (which must be empty).
+  void take(std::vector<std::size_t>& out) {
+    std::lock_guard lock(mutex_);
+    out.swap(done_);
+  }
+
+  /// Connection thread: resets the eventfd after poll() reported it.
+  void clear_wakeup() {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t rc = ::read(fd_, &count, sizeof(count));
+  }
+
+ private:
+  const int fd_;
+  std::mutex mutex_;
+  std::vector<std::size_t> done_;  // guarded by mutex_
+  bool armed_ = false;             // guarded by mutex_
+};
 
 SloOutcome outcome_of(ServeStatus status) {
   switch (status) {
@@ -26,6 +100,29 @@ SloOutcome outcome_of(ServeStatus status) {
 }
 
 }  // namespace
+
+/// In-flight replies live in reusable slots; a slot id is what a
+/// completion callback hands back to the notifier.
+struct EstimateNetServer::Connection {
+  int fd = -1;
+  std::shared_ptr<ReplyNotifier> notifier =
+      std::make_shared<ReplyNotifier>();
+  std::vector<PendingReply> slots;
+  std::vector<std::size_t> free_slots;
+  std::vector<std::size_t> ready;  // flush_ready() scratch
+
+  std::size_t inflight() const { return slots.size() - free_slots.size(); }
+
+  std::size_t acquire_slot() {
+    if (free_slots.empty()) {
+      slots.emplace_back();
+      return slots.size() - 1;
+    }
+    const std::size_t slot = free_slots.back();
+    free_slots.pop_back();
+    return slot;
+  }
+};
 
 EstimateNetServer::EstimateNetServer(GraphSource source,
                                      NetServerConfig config)
@@ -122,71 +219,78 @@ void EstimateNetServer::accept_loop() {
 }
 
 void EstimateNetServer::handle_connection(int fd) {
+  Connection conn;
+  conn.fd = fd;
+  // Without an eventfd (descriptor exhaustion) replies could not wake the
+  // thread; closing the connection is the honest answer.
+  if (conn.notifier->fd() < 0) return;
   FrameReader reader;
-  std::deque<PendingReply> inflight;
   Counter& bytes_rx = metrics_->counter("net.bytes_rx");
   Counter& frames_rx = metrics_->counter("net.frames_rx");
   Counter& protocol_errors = metrics_->counter("net.protocol_errors");
+  Counter& wakeups = metrics_->counter("net.conn_wakeups");
   char buf[16 * 1024];
-  bool alive = true;
-  while (alive && !stopping_.load(std::memory_order_relaxed)) {
-    // Opportunistically flush responses that are already done, in FIFO
-    // order so the wire order matches the submission order.
-    while (!inflight.empty() &&
-           inflight.front().future.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready) {
-      if (!write_reply(fd, inflight.front())) {
-        alive = false;
-        break;
-      }
-      inflight.pop_front();
-    }
-    if (!alive) break;
-    if (inflight.size() >= config_.max_inflight_per_conn) {
-      // Window full: block on the oldest response before reading more.
-      if (!write_reply(fd, inflight.front())) break;
-      inflight.pop_front();
+  // False after EOF, a socket error or a protocol error: no more requests
+  // are read, but admitted ones still get their replies, and so do those
+  // still in flight on shutdown (shards stop only after handlers exit).
+  bool reading = true;
+  for (;;) {
+    if (!flush_ready(conn)) return;  // peer gone: nobody to answer
+    const bool stopping = stopping_.load(std::memory_order_relaxed);
+    if ((stopping || !reading) && conn.inflight() == 0) return;
+    // A full window stops reading the socket until a reply frees a slot.
+    const bool read_socket = reading && !stopping &&
+                             conn.inflight() < config_.max_inflight_per_conn;
+    if (!conn.notifier->arm()) continue;  // a reply landed meanwhile
+    pollfd fds[2] = {{conn.notifier->fd(), POLLIN, 0}, {fd, POLLIN, 0}};
+    const int ready = ::poll(fds, read_socket ? 2 : 1, kRecvPollMs);
+    if (ready < 0 && errno != EINTR) return;  // poll() itself failed
+    conn.notifier->disarm();
+    wakeups.inc();
+    if (ready <= 0) continue;  // idle timeout or EINTR: re-check stopping
+    if ((fds[0].revents & POLLIN) != 0) conn.notifier->clear_wakeup();
+    if (!read_socket || fds[1].revents == 0) continue;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK))
+      continue;
+    if (n <= 0) {  // EOF or hard error.
+      reading = false;
       continue;
     }
-    // With replies pending, poll at 1 ms so a ready front future reaches a
-    // blocked client promptly (a window-limited client sends nothing while
-    // it waits, so a long recv timeout would add its full length to every
-    // pipelined round trip). The long poll is only for idle connections.
-    const int poll_ms = inflight.empty() ? kRecvPollMs : 1;
-    const ssize_t n = recv_some(fd, buf, sizeof(buf), poll_ms);
-    if (n == kRecvTimeout) continue;
-    if (n <= 0) break;  // EOF or hard error.
     bytes_rx.add(static_cast<std::uint64_t>(n));
     reader.append(buf, static_cast<std::size_t>(n));
     Frame frame;
     std::string error;
-    for (;;) {
+    while (reading) {
       const DecodeStatus st = reader.next(frame, &error);
       if (st == DecodeStatus::kNeedMore) break;
       if (st == DecodeStatus::kError) {
         protocol_errors.inc();
         trace_instant("net", "net.protocol_error");
         send_frame(fd, encode_error({kErrBadFrame, error}));
-        alive = false;
+        reading = false;
         break;
       }
       frames_rx.inc();
-      if (!handle_frame(fd, frame, inflight)) {
-        alive = false;
-        break;
-      }
+      reading = handle_frame(conn, frame);
     }
-  }
-  // Drain whatever is still in flight so admitted requests get answers
-  // even on shutdown (shards are stopped only after handlers exit).
-  while (!inflight.empty()) {
-    if (!write_reply(fd, inflight.front())) break;
-    inflight.pop_front();
   }
 }
 
-bool EstimateNetServer::handle_frame(int fd, const Frame& frame,
-                                     std::deque<PendingReply>& inflight) {
+bool EstimateNetServer::flush_ready(Connection& conn) {
+  conn.notifier->take(conn.ready);
+  bool ok = true;
+  for (const std::size_t slot : conn.ready) {
+    ok = ok && write_reply(conn.fd, conn.slots[slot]);
+    conn.slots[slot] = PendingReply{};
+    conn.free_slots.push_back(slot);
+  }
+  conn.ready.clear();
+  return ok;
+}
+
+bool EstimateNetServer::handle_frame(Connection& conn, const Frame& frame) {
+  const int fd = conn.fd;
   switch (frame.type()) {
     case FrameType::kHello: {
       auto msg = decode_hello(frame);
@@ -216,7 +320,7 @@ bool EstimateNetServer::handle_frame(int fd, const Frame& frame,
       return send_frame(fd, encode_welcome(welcome));
     }
     case FrameType::kRequest:
-      return handle_request(fd, frame, inflight);
+      return handle_request(conn, frame);
     case FrameType::kPing: {
       auto msg = decode_ping(frame);
       if (!msg) return false;
@@ -231,8 +335,8 @@ bool EstimateNetServer::handle_frame(int fd, const Frame& frame,
   }
 }
 
-bool EstimateNetServer::handle_request(int fd, const Frame& frame,
-                                       std::deque<PendingReply>& inflight) {
+bool EstimateNetServer::handle_request(Connection& conn, const Frame& frame) {
+  const int fd = conn.fd;
   auto msg = decode_request(frame);
   if (!msg) {
     metrics_->counter("net.protocol_errors").inc();
@@ -305,12 +409,13 @@ bool EstimateNetServer::handle_request(int fd, const Frame& frame,
   req.deadline_us =
       deadline_rel == 0 ? kNoDeadline : shard.now_us() + deadline_rel;
 
-  PendingReply pending;
+  const std::size_t slot = conn.acquire_slot();
+  PendingReply& pending = conn.slots[slot];
   pending.request_id = msg->request_id;
   pending.cls = spec->name;
   pending.t0_us = now_us();
-  pending.future = shard.submit(req);
-  inflight.push_back(std::move(pending));
+  pending.future = shard.submit(
+      req, [notifier = conn.notifier, slot] { notifier->complete(slot); });
   return true;
 }
 

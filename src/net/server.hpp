@@ -10,10 +10,19 @@
 // Shape:
 //  * `acceptors` threads each accept one connection at a time and serve it
 //    inline until EOF — the pool size bounds concurrent connections, and
-//    connections beyond it wait in the kernel backlog. Each connection
-//    speaks the length-prefixed protocol (net/protocol.hpp) and may
-//    pipeline up to `max_inflight_per_conn` requests; responses are
-//    written back in request order (FIFO per connection).
+//    connections beyond it wait in the kernel backlog. The acceptors share
+//    one non-blocking listening socket, so an acceptor that loses the race
+//    for a connection goes back to polling instead of blocking in
+//    accept(). Each connection speaks the length-prefixed protocol
+//    (net/protocol.hpp) and may pipeline up to `max_inflight_per_conn`
+//    requests; responses are written back in completion order, so a cache
+//    hit never waits behind an earlier miss (match replies by request_id).
+//  * event-driven replies: the connection thread parks in one poll() on
+//    {socket, per-connection eventfd}. A reply that completes while the
+//    thread is parked (a batch landing on a broker thread) writes the
+//    eventfd; one that completes while it is busy (every cache hit, which
+//    resolves inside submit()) is picked up on the next flush without any
+//    extra syscall. net.conn_wakeups counts the poll() returns.
 //  * admission: Hello binds a tenant to an SLO class; every request then
 //    passes the tenant's token bucket and — while the chosen shard's EDF
 //    queue is near capacity — the DRR fair-share layer (net/tenant.hpp).
@@ -37,7 +46,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -109,15 +118,17 @@ class EstimateNetServer {
     std::string cls;  ///< SLO class name (ledger + metrics key).
     std::uint64_t t0_us = 0;
   };
+  struct Connection;  // per-connection state (server.cpp)
 
   void accept_loop();
   void handle_connection(int fd);
-  /// Returns false when the connection must close.
-  bool handle_frame(int fd, const Frame& frame,
-                    std::deque<PendingReply>& inflight);
-  bool handle_request(int fd, const Frame& frame,
-                      std::deque<PendingReply>& inflight);
-  /// Blocking: waits for the oldest in-flight future and writes its frame.
+  /// Returns false when the connection must stop reading requests.
+  bool handle_frame(Connection& conn, const Frame& frame);
+  bool handle_request(Connection& conn, const Frame& frame);
+  /// Writes every completed reply, in completion order. False when a
+  /// write failed (the peer is gone).
+  bool flush_ready(Connection& conn);
+  /// Writes the frame for a reply whose future is ready.
   bool write_reply(int fd, PendingReply& pending);
   bool send_reject(int fd, std::uint64_t request_id, RejectReason reason,
                    std::uint64_t retry_after_us, const std::string& cls);

@@ -1,6 +1,7 @@
 #include "net/socket.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -42,7 +43,14 @@ int listen_loopback(std::uint16_t port, int backlog) {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+  // Non-blocking: an acceptor pool shares this fd, and when two pollers
+  // wake for one connection the loser's accept() must return EAGAIN
+  // instead of blocking until the next connection (or forever, if the
+  // pool is stopping). Accepted sockets stay blocking: Linux accept()
+  // does not inherit O_NONBLOCK.
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0 ||
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
       ::listen(fd, backlog) != 0) {
     const int saved = errno;
     ::close(fd);

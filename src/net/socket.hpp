@@ -39,7 +39,8 @@ struct AcceptResult {
   int error = 0;  ///< errno for kTransient/kClosed, 0 otherwise.
 };
 
-/// Creates a loopback listener bound to `port` (0 = kernel-assigned).
+/// Creates a non-blocking loopback listener bound to `port` (0 =
+/// kernel-assigned), safe to share between several accept_next() callers.
 /// Returns the listening fd, or -1 with errno set.
 int listen_loopback(std::uint16_t port, int backlog = 64);
 

@@ -98,6 +98,16 @@ std::uint64_t version_gap(std::uint64_t a, std::uint64_t b) noexcept {
   return a >= b ? a - b : b - a;
 }
 
+/// Spectral gaps at or below this are numerically zero: a disconnected
+/// snapshot (e.g. one isolated node after churn) makes Lanczos return
+/// lambda_2 ~ 1e-13 of either sign, and the budget formulas would turn
+/// that into a max-walks batch. Such a snapshot cannot be profiled.
+constexpr double kMinSpectralGap = 1e-9;
+
+bool profilable(const GraphProfile& profile) noexcept {
+  return profile.lambda2 > kMinSpectralGap && profile.origin_degree > 0;
+}
+
 }  // namespace
 
 EstimateService::EstimateService(GraphSource source, ServiceConfig config)
@@ -227,7 +237,8 @@ std::uint32_t EstimateService::cost_open_aggregate(const std::string& tenant,
 
 void EstimateService::resolve(std::promise<EstimateResponse>& promise,
                               const EstimateRequest& request,
-                              EstimateResponse resp) {
+                              EstimateResponse resp,
+                              const std::function<void()>& on_complete) {
   SloOutcome outcome = SloOutcome::kOk;
   switch (resp.status) {
     case ServeStatus::kOk: outcome = SloOutcome::kOk; break;
@@ -237,6 +248,7 @@ void EstimateService::resolve(std::promise<EstimateResponse>& promise,
   }
   slo_.record(slo_class(request), outcome, resp.latency_us);
   promise.set_value(std::move(resp));
+  if (on_complete) on_complete();
 }
 
 EstimateResponse EstimateService::hit_response(const CacheEntry& entry,
@@ -259,7 +271,7 @@ EstimateResponse EstimateService::hit_response(const CacheEntry& entry,
 }
 
 std::future<EstimateResponse> EstimateService::submit(
-    const EstimateRequest& request) {
+    const EstimateRequest& request, std::function<void()> on_complete) {
   m_->requests.inc();
   std::promise<EstimateResponse> promise;
   std::future<EstimateResponse> future = promise.get_future();
@@ -269,7 +281,7 @@ std::future<EstimateResponse> EstimateService::submit(
     m_->failures.inc();
     EstimateResponse resp;
     resp.status = ServeStatus::kFailed;
-    resolve(promise, request, std::move(resp));
+    resolve(promise, request, std::move(resp), on_complete);
     return future;
   }
 
@@ -284,7 +296,7 @@ std::future<EstimateResponse> EstimateService::submit(
     EstimateResponse resp;
     resp.status = ServeStatus::kRejected;
     lock.unlock();
-    resolve(promise, request, std::move(resp));
+    resolve(promise, request, std::move(resp), on_complete);
     return future;
   }
 
@@ -305,7 +317,8 @@ std::future<EstimateResponse> EstimateService::submit(
       const CacheEntry entry = *lookup.entry;
       const std::uint64_t age = lookup.age_us;
       lock.unlock();
-      resolve(promise, request, hit_response(entry, age, now, false));
+      resolve(promise, request, hit_response(entry, age, now, false),
+              on_complete);
       return future;
     }
     m_->cache_misses.inc();
@@ -318,7 +331,7 @@ std::future<EstimateResponse> EstimateService::submit(
     lock.unlock();
     EstimateResponse resp;
     resp.status = ServeStatus::kDeadlineMiss;
-    resolve(promise, request, std::move(resp));
+    resolve(promise, request, std::move(resp), on_complete);
     return future;
   }
 
@@ -332,8 +345,8 @@ std::future<EstimateResponse> EstimateService::submit(
       // tighter deadlines are still deadline-checked at delivery.
       m_->coalesced.inc();
       cost_charge_ctx(ctx, CostField::kCoalesced, 1);
-      it->second->waiters.push_back(
-          Waiter{std::move(promise), request, now, true, ctx});
+      it->second->waiters.push_back(Waiter{std::move(promise), request, now,
+                                           true, ctx, std::move(on_complete)});
       return future;
     }
   }
@@ -341,8 +354,7 @@ std::future<EstimateResponse> EstimateService::submit(
   // Admission control. The step charge needs a graph profile; before the
   // first batch established one, admission falls back to queue depth only.
   std::uint64_t planned_steps = 0;
-  if (profile_.has_value() && profile_->lambda2 > 0.0 &&
-      profile_->origin_degree > 0) {
+  if (profile_.has_value() && profilable(*profile_)) {
     if (request.method == EstimateMethod::kRandomTour) {
       planned_steps =
           planner_.plan_tours(*profile_, request.epsilon, request.delta)
@@ -369,7 +381,7 @@ std::future<EstimateResponse> EstimateService::submit(
     resp.status = ServeStatus::kRejected;
     resp.retry_after_us = retry_hint_locked();
     lock.unlock();
-    resolve(promise, request, std::move(resp));
+    resolve(promise, request, std::move(resp), on_complete);
     return future;
   }
 
@@ -381,8 +393,8 @@ std::future<EstimateResponse> EstimateService::submit(
   batch->planned_steps = planned_steps;
   batch->bypass_cache = !request.allow_cached;
   batch->cost_ctx = ctx;
-  batch->waiters.push_back(
-      Waiter{std::move(promise), request, now, false, ctx});
+  batch->waiters.push_back(Waiter{std::move(promise), request, now, false,
+                                  ctx, std::move(on_complete)});
 
   const std::uint64_t seq = next_seq_++;
   if (!queue_.try_push(batch, request.deadline_us, seq)) {
@@ -392,7 +404,7 @@ std::future<EstimateResponse> EstimateService::submit(
     resp.status = ServeStatus::kRejected;
     resp.retry_after_us = retry_hint_locked();
     lock.unlock();
-    resolve(batch->waiters.front().promise, request, std::move(resp));
+    resolve(batch->waiters.front(), std::move(resp));
     return future;
   }
   outstanding_steps_ += planned_steps;
@@ -410,16 +422,20 @@ void EstimateService::process_batch(const BatchPtr& batch) {
     // Detach from the single-flight map FIRST: from here on, identical
     // requests start a fresh batch instead of riding one mid-run. After
     // this critical section the batch is unreachable from submit(), so the
-    // broker owns its waiters without further locking.
+    // broker owns its waiters without further locking. It stays visible to
+    // the refresher as running_ until its result is cached (or it ends
+    // without one).
     std::lock_guard lock(mutex_);
     const CoalesceKey ckey{batch->key.kind, batch->key.method, batch->epsilon,
                            batch->delta};
     auto it = pending_.find(ckey);
     if (it != pending_.end() && it->second == batch) pending_.erase(it);
+    running_ = batch->key;
   }
   run_and_deliver(batch);
   {
     std::lock_guard lock(mutex_);
+    running_.reset();
     release_steps_locked(batch);
     update_gauges_locked();
   }
@@ -448,7 +464,7 @@ void EstimateService::run_and_deliver(const BatchPtr& batch) {
         EstimateResponse resp;
         resp.status = ServeStatus::kDeadlineMiss;
         resp.latency_us = dispatch_now - w.admitted_us;
-        resolve(w.promise, w.request, std::move(resp));
+        resolve(w, std::move(resp));
       } else {
         live.push_back(std::move(w));
       }
@@ -476,8 +492,7 @@ void EstimateService::run_and_deliver(const BatchPtr& batch) {
       for (auto& w : batch->waiters) {
         cost_charge_ctx(w.cost_ctx, CostField::kCacheHits, 1);
         m_->hit_age_us.record(age);
-        resolve(w.promise, w.request,
-                hit_response(entry, age, w.admitted_us, w.coalesced));
+        resolve(w, hit_response(entry, age, w.admitted_us, w.coalesced));
       }
       return;
     }
@@ -519,12 +534,12 @@ void EstimateService::run_and_deliver(const BatchPtr& batch) {
       resp.status = ServeStatus::kFailed;
       resp.graph_version = snap.version;
       resp.latency_us = now_us() - w.admitted_us;
-      resolve(w.promise, w.request, std::move(resp));
+      resolve(w, std::move(resp));
     }
     if (batch->refresh_only && batch->waiters.empty()) m_->failures.inc();
   };
 
-  if (profile.lambda2 <= 0.0 || profile.origin_degree == 0) {
+  if (!profilable(profile)) {
     // Disconnected (or degenerate) snapshot: the error formulas have no
     // finite budget, so the batch cannot promise anything.
     fail_all("serve.unprofilable");
@@ -613,6 +628,7 @@ void EstimateService::run_and_deliver(const BatchPtr& batch) {
   {
     std::lock_guard lock(mutex_);
     cache_.insert(batch->key, entry);
+    running_.reset();  // the fresh entry covers the key from here on
     const double wall = static_cast<double>(t1 >= t0 ? t1 - t0 : 0);
     ewma_batch_us_ =
         ewma_batch_us_ > 0.0 ? 0.8 * ewma_batch_us_ + 0.2 * wall : wall;
@@ -647,7 +663,7 @@ void EstimateService::run_and_deliver(const BatchPtr& batch) {
     resp.age_us = 0;
     resp.latency_us = t1 >= w.admitted_us ? t1 - w.admitted_us : 0;
     m_->request_latency_us.record(resp.latency_us);
-    resolve(w.promise, w.request, std::move(resp));
+    resolve(w, std::move(resp));
   }
 }
 
@@ -668,9 +684,9 @@ std::size_t EstimateService::refresh_once() {
         now >= entry.computed_at_us ? now - entry.computed_at_us : 0;
     if (!stale && age < threshold) continue;
 
-    // Skip when any pending batch already covers the key — whatever it
-    // computes supersedes this entry anyway.
-    bool covered = false;
+    // Skip when a queued or running batch already covers the key —
+    // whatever it computes supersedes this entry anyway.
+    bool covered = running_ == key;
     for (const auto& [ckey, pending] : pending_) {
       if (pending->key == key) {
         covered = true;
@@ -748,7 +764,7 @@ void EstimateService::stop() {
       cost_charge_ctx(w.cost_ctx, CostField::kFailures, 1);
       EstimateResponse resp;
       resp.status = ServeStatus::kFailed;
-      resolve(w.promise, w.request, std::move(resp));
+      resolve(w, std::move(resp));
     }
   }
   std::lock_guard lock(mutex_);

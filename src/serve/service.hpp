@@ -141,7 +141,15 @@ class EstimateService {
   /// fulfilled: cache hits, rejections and expired deadlines resolve
   /// immediately; admitted requests resolve when their batch lands (or the
   /// service stops, which fails them).
-  std::future<EstimateResponse> submit(const EstimateRequest& request);
+  ///
+  /// `on_complete`, when set, runs exactly once right after the future
+  /// becomes ready, on whichever thread resolved it: inside submit() for
+  /// immediate outcomes, on the broker thread for batch results. It never
+  /// runs under the service mutex, so it may take its own locks, but it
+  /// must be cheap and must not call back into the service.
+  std::future<EstimateResponse> submit(
+      const EstimateRequest& request,
+      std::function<void()> on_complete = nullptr);
 
   /// submit + get.
   EstimateResponse query(const EstimateRequest& request);
@@ -153,8 +161,8 @@ class EstimateService {
   /// One refresher sweep: enqueues waiter-less refresh batches for cached
   /// entries that went version-stale or aged past refresh_at_fraction of
   /// the TTL. Returns how many batches were enqueued. Skips (and counts
-  /// serve.refresh_skipped) when an equivalent batch is already pending or
-  /// the queue is full.
+  /// serve.refresh_skipped) when a batch for the same key is already
+  /// queued or running, or the queue is full.
   std::size_t refresh_once();
 
   /// True once at least one batch has completed — the /readyz criterion
@@ -187,6 +195,7 @@ class EstimateService {
     std::uint64_t admitted_us = 0;
     bool coalesced = false;  ///< attached to an already-pending batch
     std::uint32_t cost_ctx = 0;  ///< cost-ledger context (0 = unattributed)
+    std::function<void()> on_complete;  ///< submit()'s completion callback
   };
 
   /// One queued unit of work: a planned batch plus everyone riding it.
@@ -231,10 +240,16 @@ class EstimateService {
   EstimateResponse hit_response(const CacheEntry& entry, std::uint64_t age_us,
                                 std::uint64_t admitted_us, bool coalesced);
   /// The one funnel every response leaves through: records the request's
-  /// class outcome in the SLO ledger, then fulfils the promise. Never call
-  /// set_value directly on a request promise.
+  /// class outcome in the SLO ledger, fulfils the promise, then runs the
+  /// completion callback. Never call set_value directly on a request
+  /// promise, and never call this under mutex_.
   void resolve(std::promise<EstimateResponse>& promise,
-               const EstimateRequest& request, EstimateResponse resp);
+               const EstimateRequest& request, EstimateResponse resp,
+               const std::function<void()>& on_complete);
+  void resolve(Waiter& waiter, EstimateResponse resp) {
+    resolve(waiter.promise, waiter.request, std::move(resp),
+            waiter.on_complete);
+  }
   static std::string slo_class(const EstimateRequest& request);
   /// Opens a cost-ledger context for an admitted request (0 when no ledger
   /// is installed or the hooks are compiled out).
@@ -262,6 +277,10 @@ class EstimateService {
   mutable std::mutex mutex_;
   EstimateCache cache_;                       // guarded by mutex_
   std::map<CoalesceKey, BatchPtr> pending_;   // guarded by mutex_
+  /// Key of the batch the (single) broker thread is running, if any. A
+  /// running batch has left pending_, but it still covers its key for the
+  /// refresher, so a slow refresh is never enqueued twice.
+  std::optional<CacheKey> running_;           // guarded by mutex_
   std::uint64_t outstanding_steps_ = 0;       // guarded by mutex_
   std::uint64_t next_seq_ = 0;                // guarded by mutex_
   double ewma_batch_us_ = 0.0;                // guarded by mutex_

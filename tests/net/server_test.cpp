@@ -2,18 +2,27 @@
 // Hello/Welcome registration, request/response, every admission refusal as
 // a kReject frame carrying retry_after_us (token bucket, unknown tenant,
 // bad request, and the broker's own queue-full shed forwarded onto the
-// wire), tenant multiplexing on one connection, pipelining, ping, and
-// protocol-error handling (garbage gets a kError frame, then the
-// connection closes).
+// wire), tenant multiplexing on one connection, pipelining with replies in
+// completion order, event-driven wake-ups, ping, protocol-error handling
+// (garbage gets a kError frame, then the connection closes), and a
+// connect-and-stop loop against the acceptor pool under CPU contention.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -284,6 +293,148 @@ TEST(NetServer, ServesManyConnectionsAcrossAcceptorPool) {
     EXPECT_FALSE(result->rejected);
   }
   EXPECT_GE(counter_value(server.metrics().snapshot(), "net.connections"), 6u);
+}
+
+/// Reads the next frame; nullopt unless it is a well-formed Response.
+std::optional<ResponseMsg> next_response(NetClient& client,
+                                         int timeout_ms = 10'000) {
+  auto frame = client.read_frame(timeout_ms);
+  if (!frame.has_value() || frame->type() != FrameType::kResponse)
+    return std::nullopt;
+  return decode_response(*frame);
+}
+
+// Replies leave in completion order: a cache hit pipelined behind a miss
+// that is stuck in a paused broker is answered first.
+TEST(NetServer, CacheHitOvertakesPendingMissOnOneConnection) {
+  const Graph g = complete(16);
+  EstimateNetServer server(static_graph_source(g), base_config());
+  NetClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  auto welcome = client.hello("pipeline", 0);
+  ASSERT_TRUE(welcome.has_value());
+  auto warm = client.request(size_request(1, welcome->tenant_id, 0.3));
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_FALSE(warm->rejected);
+
+  server.shard(0).set_paused(true);
+  ASSERT_TRUE(client.send_request(size_request(2, welcome->tenant_id, 0.2)));
+  ASSERT_TRUE(client.send_request(size_request(3, welcome->tenant_id, 0.3)));
+  auto first = next_response(client);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->request_id, 3u);
+  EXPECT_NE(first->flags & kRespCacheHit, 0);
+  EXPECT_EQ(first->value, warm->response.value);
+
+  server.shard(0).set_paused(false);
+  auto second = next_response(client);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->request_id, 2u);
+  EXPECT_EQ(second->flags & kRespCacheHit, 0);
+}
+
+// A pending reply parks the connection thread instead of polling it: while
+// a miss waits 200 ms in a paused broker, the thread wakes for the request,
+// for its idle timeouts and for the completion — not once per millisecond.
+TEST(NetServer, PendingMissDoesNotSpinTheConnectionThread) {
+  const Graph g = complete(16);
+  EstimateNetServer server(static_graph_source(g), base_config());
+  NetClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  auto welcome = client.hello("parked", 0);
+  ASSERT_TRUE(welcome.has_value());
+
+  server.shard(0).set_paused(true);
+  const std::uint64_t before =
+      counter_value(server.metrics().snapshot(), "net.conn_wakeups");
+  ASSERT_TRUE(client.send_request(size_request(1, welcome->tenant_id)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  server.shard(0).set_paused(false);
+  auto reply = next_response(client);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->request_id, 1u);
+  const std::uint64_t wakeups =
+      counter_value(server.metrics().snapshot(), "net.conn_wakeups") - before;
+  EXPECT_GE(wakeups, 1u);
+  EXPECT_LT(wakeups, 10u);
+}
+
+/// Keeps every core busy for its lifetime.
+class CpuHog {
+ public:
+  CpuHog() {
+    const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned i = 0; i < n; ++i) {
+      threads_.emplace_back([this] {
+        std::uint64_t x = 0;
+        while (!done_.load(std::memory_order_relaxed)) x = x * 31 + 7;
+        sink_.fetch_add(x, std::memory_order_relaxed);
+      });
+    }
+  }
+  ~CpuHog() {
+    done_.store(true, std::memory_order_relaxed);
+    for (auto& t : threads_) t.join();
+  }
+
+ private:
+  std::atomic<bool> done_{false};
+  std::atomic<std::uint64_t> sink_{0};
+  std::vector<std::thread> threads_;
+};
+
+/// Aborts the test binary if not dismissed within `limit`: a hang fails
+/// fast with a message instead of running into the ctest timeout.
+class HangWatchdog {
+ public:
+  HangWatchdog(std::chrono::seconds limit, const char* what)
+      : thread_([this, limit, what] {
+          std::unique_lock lock(mutex_);
+          if (!cv_.wait_for(lock, limit, [this] { return dismissed_; })) {
+            std::fprintf(stderr, "hang: %s\n", what);
+            std::abort();
+          }
+        }) {}
+  ~HangWatchdog() {
+    {
+      std::lock_guard lock(mutex_);
+      dismissed_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool dismissed_ = false;
+  std::thread thread_;
+};
+
+// Regression: the acceptor pool shares one listening socket. When two
+// acceptors woke from poll() for one connection, the loser blocked in
+// accept() on a blocking listener and stop() joined it forever. CPU
+// contention makes that double wake-up likely (with the blocking listener
+// this loop hung in each of three tries); the non-blocking listener turns
+// it into EAGAIN.
+TEST(NetServer, ConnectAndStopUnderCpuContentionNeverHangs) {
+  const Graph g = complete(16);
+  NetServerConfig config = base_config();
+  config.acceptors = 3;
+  config.service.threads = 1;
+  CpuHog hog;
+  HangWatchdog watchdog(std::chrono::seconds(60),
+                        "EstimateNetServer::stop() under contention");
+  for (int round = 0; round < 60; ++round) {
+    EstimateNetServer server(static_graph_source(g), config);
+    for (int conn = 0; conn < 6; ++conn) {
+      NetClient client;
+      ASSERT_TRUE(client.connect(server.port())) << "round " << round;
+      ASSERT_TRUE(client.ping(static_cast<std::uint64_t>(round)))
+          << "round " << round;
+    }
+    server.stop();
+  }
 }
 
 }  // namespace

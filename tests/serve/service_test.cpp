@@ -5,12 +5,14 @@
 //      queueing unboundedly;
 //  (d) a DynamicGraph version() bump invalidates cached entries;
 // plus deadline handling, request validation, determinism across runner
-// thread counts, and clean shutdown semantics.
+// thread counts, refresh de-duplication, fail-fast on a numerically zero
+// spectral gap, completion callbacks, and clean shutdown semantics.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -291,6 +293,107 @@ TEST(EstimateService, StopFailsQueuedWaitersAndRejectsNewWork) {
   EXPECT_EQ(service->submit(size_request()).get().status,
             ServeStatus::kRejected);
   service.reset();  // double-stop through the destructor is safe
+}
+
+// A refresh batch leaves the single-flight map when the broker dispatches
+// it; while it is still walking, another sweep must not enqueue the same
+// key again. The source's snapshot() blocks on a latch to hold the batch
+// mid-run.
+TEST(EstimateService, RefreshOnceSkipsKeyWhoseRefreshIsRunning) {
+  const Graph g = complete(16);
+  const GraphSource inner = static_graph_source(g);
+  std::atomic<int> snapshots{0};
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  GraphSource held;
+  held.version = inner.version;
+  held.snapshot = [&] {
+    // The first snapshot warms the cache; the second is the refresh.
+    if (snapshots.fetch_add(1) == 1) {
+      entered.set_value();
+      released.wait();
+    }
+    return inner.snapshot();
+  };
+  TestClock clock;
+  ServiceConfig config = fast_config(clock);
+  config.freshness.base_ttl_us = 1'000'000;
+  config.refresh_at_fraction = 0.5;
+  EstimateService service(held, config);
+  ASSERT_TRUE(service.query(size_request()).ok());
+
+  clock.advance(600'000);
+  ASSERT_EQ(service.refresh_once(), 1u);
+  entered.get_future().wait();  // the refresh is running, off pending_
+  EXPECT_EQ(service.refresh_once(), 0u);
+
+  // Single-flight still never rides a running batch: past the TTL, the
+  // same question starts its own batch instead of attaching to it.
+  clock.advance(600'000);
+  auto rider = service.submit(size_request());
+  release.set_value();
+  const EstimateResponse resp = rider.get();
+  ASSERT_TRUE(resp.ok());
+  EXPECT_FALSE(resp.coalesced);
+
+  const auto counters = service.metrics().snapshot();
+  EXPECT_EQ(counters.counter_or_zero("serve.refresh_skipped"), 1u);
+  EXPECT_EQ(counters.counter_or_zero("serve.refreshes"), 1u);
+  EXPECT_EQ(counters.counter_or_zero("serve.coalesced"), 0u);
+}
+
+// One isolated node disconnects the snapshot: Lanczos then returns a gap
+// of ~1e-13 (this graph and seed give a positive one), which must count
+// as unprofilable instead of planning a max-walks batch.
+TEST(EstimateService, NumericallyZeroSpectralGapFailsFast) {
+  constexpr NodeId kClique = 64;
+  GraphBuilder builder(kClique + 1);  // node kClique stays isolated
+  for (NodeId u = 0; u < kClique; ++u)
+    for (NodeId v = u + 1; v < kClique; ++v) builder.add_edge(u, v);
+  const Graph g = builder.build();
+  TestClock clock;
+  EstimateService service(static_graph_source(g), fast_config(clock));
+  const auto t0 = std::chrono::steady_clock::now();
+  const EstimateResponse resp = service.query(size_request());
+  EXPECT_EQ(resp.status, ServeStatus::kFailed);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  const auto counters = service.metrics().snapshot();
+  EXPECT_EQ(counters.counter_or_zero("serve.batches"), 0u);
+  EXPECT_EQ(counters.counter_or_zero("serve.steps"), 0u);
+  EXPECT_EQ(counters.counter_or_zero("serve.failures"), 1u);
+}
+
+// The completion callback runs exactly once per request, after the future
+// is ready: inline for a cache hit, on the broker for a batch.
+TEST(EstimateService, CompletionCallbackFiresOnceAfterTheFutureIsReady) {
+  const Graph g = complete(16);
+  TestClock clock;
+  EstimateService service(static_graph_source(g), fast_config(clock));
+  std::atomic<int> calls{0};
+  std::promise<bool> ready_at_call;
+  std::mutex miss_mutex;
+  std::shared_future<EstimateResponse> miss;
+  {
+    // The lock keeps the broker's callback from reading `miss` before it
+    // is assigned (the cache is cold, so nothing resolves inline).
+    std::lock_guard lock(miss_mutex);
+    miss = service
+               .submit(size_request(),
+                       [&] {
+                         std::lock_guard inner(miss_mutex);
+                         calls.fetch_add(1);
+                         ready_at_call.set_value(
+                             miss.wait_for(std::chrono::seconds(0)) ==
+                             std::future_status::ready);
+                       })
+               .share();
+  }
+  EXPECT_TRUE(ready_at_call.get_future().get());
+  ASSERT_TRUE(miss.get().ok());
+  auto hit = service.submit(size_request(), [&] { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 2);  // the hit's callback ran inside submit()
+  EXPECT_TRUE(hit.get().cache_hit);
 }
 
 }  // namespace
