@@ -222,6 +222,30 @@ BENCHMARK(BM_TourBatchParallel)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// The batch a cache-missing Random Tour query runs on the serving path: 1114
+// tours from the max-degree node on a 2-thread runner (the shape perfbench's
+// miss_walks workload plans). Tour lengths are heavy-tailed, so this is the
+// benchmark that shows whether kernel lanes stay busy until the batch's last
+// tours. Every iteration runs the same batch (fixed seed).
+void BM_TourBatchServeShape(benchmark::State& state) {
+  const Graph& g = balanced_graph();
+  NodeId origin = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (g.degree(v) > g.degree(origin)) origin = v;
+  ParallelRunner runner(2);
+  const std::size_t batch_size = 1114;
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    const auto batch = run_tours_size(g, origin, batch_size, 7, runner);
+    steps += batch.total_steps;
+    benchmark::DoNotOptimize(batch.sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+  state.counters["tours/batch"] = static_cast<double>(batch_size);
+}
+BENCHMARK(BM_TourBatchServeShape)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
+
 // Same scaling probe for a batch of CTRW samples (the S&C inner loop).
 void BM_SampleBatchParallel(benchmark::State& state) {
   const Graph& g = balanced_graph();

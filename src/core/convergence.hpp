@@ -91,7 +91,7 @@ TourBatch run_tours_size_converging(const G& g, NodeId origin, std::size_t m,
   recorder = TimeSeriesRecorder("random_tour", opts.truth);
   TourBatch batch;
   batch.tours.resize(m);
-  auto streams = derive_streams(seed, m);
+  const auto streams = derive_streams(seed, m);
   const std::size_t width = resolved_kernel_width(runner.kernel_width());
   const std::size_t interval = detail::resolve_interval(opts.interval, m,
                                                         width);
@@ -103,32 +103,12 @@ TourBatch run_tours_size_converging(const G& g, NodeId origin, std::size_t m,
   for (std::size_t done = 0; done < m;) {
     const std::size_t group = std::min(interval, m - done);
     BatchStats group_stats;
-    // Each walk runs on streams[its task index] exactly as in run_tours, so
+    // Each walk runs on streams[its walk index] exactly as in run_tours, so
     // the interval boundaries cannot perturb any walk.
-    if (width > 1 && group >= width) {
-      runner.run<char>(
-          detail::kernel_chunk_count(group, width),
-          [&](std::size_t c) {
-            const std::size_t begin = done + c * width;
-            const std::size_t count = std::min(width, done + group - begin);
-            tour_kernel(g, origin, f,
-                        std::span<Rng>(streams).subspan(begin, count),
-                        std::span<TourEstimate>(batch.tours)
-                            .subspan(begin, count),
-                        count, max_steps);
-            return char{0};
-          },
-          &group_stats);
-    } else {
-      runner.run<char>(
-          group,
-          [&](std::size_t i) {
-            batch.tours[done + i] =
-                random_tour(g, origin, f, streams[done + i], max_steps);
-            return char{0};
-          },
-          &group_stats);
-    }
+    detail::run_tour_walks(g, origin, f, std::span<const Rng>(streams),
+                           std::span<TourEstimate>(batch.tours), done,
+                           done + group, max_steps, std::span<NullProbe>(),
+                           runner, group_stats);
     done += group;
     batch.stats.wall_seconds += group_stats.wall_seconds;
     batch.stats.cpu_seconds += group_stats.cpu_seconds;
@@ -166,7 +146,7 @@ ScBatch run_sc_converging(const G& g, NodeId origin, std::size_t trials,
   recorder = TimeSeriesRecorder("sample_collide", opts.truth);
   ScBatch batch;
   batch.trials.resize(trials);
-  auto streams = derive_streams(seed, trials);
+  const auto streams = derive_streams(seed, trials);
   const std::size_t width = resolved_kernel_width(runner.kernel_width());
   const std::size_t interval = detail::resolve_interval(opts.interval,
                                                         trials, width);
@@ -177,33 +157,10 @@ ScBatch run_sc_converging(const G& g, NodeId origin, std::size_t trials,
   for (std::size_t done = 0; done < trials;) {
     const std::size_t group = std::min(interval, trials - done);
     BatchStats group_stats;
-    if (width > 1 && group >= width) {
-      runner.run<char>(
-          detail::kernel_chunk_count(group, width),
-          [&](std::size_t c) {
-            const std::size_t begin = done + c * width;
-            const std::size_t count = std::min(width, done + group - begin);
-            std::vector<ScTrialRaw> raw(count);
-            sc_kernel(g, origin, timer, ell,
-                      std::span<Rng>(streams).subspan(begin, count),
-                      std::span<ScTrialRaw>(raw), count);
-            for (std::size_t j = 0; j < count; ++j)
-              batch.trials[begin + j] =
-                  detail::finalize_sc_trial(raw[j], ell);
-            return char{0};
-          },
-          &group_stats);
-    } else {
-      runner.run<char>(
-          group,
-          [&](std::size_t i) {
-            SampleCollideEstimator estimator(g, origin, timer, ell,
-                                             streams[done + i]);
-            batch.trials[done + i] = estimator.estimate();
-            return char{0};
-          },
-          &group_stats);
-    }
+    detail::run_sc_walks(g, origin, timer, ell, std::span<const Rng>(streams),
+                         std::span<ScEstimate>(batch.trials), done,
+                         done + group, std::span<NullProbe>(), runner,
+                         group_stats);
     done += group;
     batch.stats.wall_seconds += group_stats.wall_seconds;
     batch.stats.cpu_seconds += group_stats.cpu_seconds;
@@ -217,17 +174,7 @@ ScBatch run_sc_converging(const G& g, NodeId origin, std::size_t trials,
                         static_cast<double>(simple_prefix.size()),
                     detail::sc_half_width(ell, done));
   }
-  std::vector<double> simple, ml;
-  simple.reserve(trials);
-  ml.reserve(trials);
-  for (const auto& t : batch.trials) {
-    batch.total_hops += t.hops;
-    simple.push_back(t.simple);
-    ml.push_back(t.ml);
-  }
-  batch.sum_simple = tree_sum(simple);
-  batch.sum_ml = tree_sum(ml);
-  batch.stats.steps = batch.total_hops;
+  detail::finish_sc_batch(batch);
   batch.stats.tasks = trials;
   return batch;
 }

@@ -1,12 +1,12 @@
 // Batch front-ends for the paper's estimators, fanned across a
 // ParallelRunner (src/runtime/): a batch of m independent Random Tours,
-// CTRW samples, Sample & Collide trials, or Metropolis walks runs one task
-// per trial, each on the `Rng::split()` stream indexed by its task id.
+// CTRW samples, Sample & Collide trials, or Metropolis walks, walk i on the
+// `Rng::split()` stream indexed by i.
 //
 // Reproducibility contract: for a fixed (graph, origin, parameters, seed)
 // the returned batch — every per-trial result AND every reduced aggregate —
 // is bit-identical for any `n_threads`, including 1. Per-trial results are
-// stored by task index and floating-point aggregates go through the fixed
+// stored by walk index and floating-point aggregates go through the fixed
 // pairwise tree reduction of runtime/parallel_runner.hpp, so scheduling
 // never leaks into the numbers.
 //
@@ -17,16 +17,19 @@
 // Hot path: when the batch is at least one kernel width wide (W =
 // resolved_kernel_width(runner.kernel_width()), default 16, runner option /
 // OVERCOUNT_KERNEL_WIDTH), the tour, CTRW-sample and S&C batches run the
-// interleaved prefetching kernel of walk/kernel.hpp — each pool task
-// advances a W-wide chunk of walks round-robin instead of one walk at a
-// time. The kernel replays the scalar per-walk draw order exactly, results
-// land in the same task-index slots, and probed variants fold the same
-// per-walk WalkStats in the same order, so everything above stays
-// bit-identical whether the kernel, the scalar path, or any thread count
-// ran the batch (tests/walk/kernel_equivalence_test.cpp). Width 1 forces
-// the scalar path. Origins are validated unconditionally here at batch
-// entry; the per-step degree checks inside the walks compile out of plain
-// Release builds (OVERCOUNT_HOT_CHECKS, util/contracts.hpp).
+// interleaved prefetching kernel of walk/kernel.hpp (detail::run_walks):
+// each pool worker runs ONE kernel call of up to W lanes for the whole
+// batch, and all of them refill their lanes from one batch-wide WalkCursor,
+// so no lane idles while unstarted walks remain. The lane count is capped
+// at ceil(m / threads) so one worker cannot claim a small batch alone. The
+// kernel replays the scalar per-walk draw order exactly, results land in
+// the same walk-index slots, and probed variants fold the same per-walk
+// WalkStats in the same order, so everything above stays bit-identical
+// whether the kernel, the scalar path, or any thread count ran the batch
+// (tests/walk/kernel_equivalence_test.cpp, tests/walk/lane_refill_test.cpp).
+// Width 1 forces the scalar path. Origins are validated unconditionally
+// here at batch entry; the per-step degree checks inside the walks compile
+// out of plain Release builds (OVERCOUNT_HOT_CHECKS, util/contracts.hpp).
 #pragma once
 
 #include <algorithm>
@@ -114,12 +117,6 @@ inline WalkStats fold_walk_stats(std::span<const WalkStats> parts) {
   return out;
 }
 
-/// Number of width-sized kernel chunks covering a batch of m walks.
-inline constexpr std::size_t kernel_chunk_count(std::size_t m,
-                                                std::size_t width) {
-  return (m + width - 1) / width;
-}
-
 /// Applies the Section 4 estimator math to one raw kernel trial. The trial
 /// stopped at exactly `ell` collisions, so this reproduces bit-identically
 /// what SampleCollideEstimator::estimate computes from its tracker.
@@ -154,6 +151,194 @@ inline void finish_tour_batch(TourBatch& batch) {
   batch.stats.steps = batch.total_steps;
 }
 
+
+/// Fills the shared tail of ScBatch from the per-trial results.
+inline void finish_sc_batch(ScBatch& batch) {
+  std::vector<double> simple, ml;
+  simple.reserve(batch.trials.size());
+  ml.reserve(batch.trials.size());
+  for (const auto& t : batch.trials) {
+    batch.total_hops += t.hops;
+    simple.push_back(t.simple);
+    ml.push_back(t.ml);
+  }
+  batch.sum_simple = tree_sum(simple);
+  batch.sum_ml = tree_sum(ml);
+  batch.stats.steps = batch.total_hops;
+}
+
+/// One WalkStatsProbe per walk; probe w records into per_walk[w].
+inline std::vector<WalkStatsProbe> walk_probes(
+    std::vector<WalkStats>& per_walk) {
+  std::vector<WalkStatsProbe> probes;
+  probes.reserve(per_walk.size());
+  for (auto& stats : per_walk) probes.emplace_back(stats);
+  return probes;
+}
+
+/// The probe a scalar walk w takes: probes[w], or a NullProbe when the
+/// batch is unprobed (`probes` is then empty).
+template <typename P>
+decltype(auto) walk_probe(std::span<P> probes, std::size_t w) {
+  if constexpr (probe_enabled_v<P>)
+    return (probes[w]);
+  else
+    return NullProbe{};
+}
+
+/// Runs walks [begin, end) of a batch on `runner`, each exactly once. At
+/// kernel width W > 1 and at least W walks, the pool runs min(threads, m)
+/// tasks, each ONE `kernel(cursor, lanes)` call with min(W, ceil(m /
+/// threads)) lanes, all refilling from one shared cursor. Otherwise every
+/// walk i is its own `scalar(i)` task. Either way walk i writes only its
+/// own result slot, so the batch cannot depend on the path or the schedule.
+/// Returns whether the kernel ran.
+template <typename Kernel, typename Scalar>
+bool run_walks(ParallelRunner& runner, std::size_t begin, std::size_t end,
+               Kernel&& kernel, Scalar&& scalar, BatchStats& stats) {
+  const std::size_t m = end - begin;
+  const std::size_t width = resolved_kernel_width(runner.kernel_width());
+  const bool use_kernel = width > 1 && m >= width;
+  if (use_kernel) {
+    const std::size_t tasks =
+        std::min<std::size_t>(runner.thread_count(), m);
+    const std::size_t lanes = std::min(width, (m + tasks - 1) / tasks);
+    WalkCursor cursor(begin, end);
+    runner.run<char>(
+        tasks,
+        [&](std::size_t) {
+          kernel(cursor, lanes);
+          return char{0};
+        },
+        &stats);
+  } else {
+    runner.run<char>(
+        m,
+        [&](std::size_t i) {
+          scalar(begin + i);
+          return char{0};
+        },
+        &stats);
+  }
+  stats.tasks = m;  // how the walks were packed into tasks is internal
+  return use_kernel;
+}
+
+/// Random Tours [begin, end) of a batch whose walk w runs on streams[w]
+/// and stores into tours[w].
+template <typename P, OverlayTopology G, typename F>
+void run_tour_walks(const G& g, NodeId origin, F& f,
+                    std::span<const Rng> streams,
+                    std::span<TourEstimate> tours, std::size_t begin,
+                    std::size_t end, std::uint64_t max_steps,
+                    std::span<P> probes, ParallelRunner& runner,
+                    BatchStats& stats) {
+  run_walks(
+      runner, begin, end,
+      [&](WalkCursor& cursor, std::size_t lanes) {
+        tour_kernel(g, origin, f, streams, tours, lanes, cursor, max_steps,
+                    probes);
+      },
+      [&](std::size_t w) {
+        Rng rng = streams[w];
+        tours[w] = random_tour(g, origin, f, rng, max_steps,
+                               walk_probe(probes, w));
+      },
+      stats);
+}
+
+/// Sample & Collide trials [begin, end) of a batch whose trial t runs on
+/// streams[t] and stores into trials[t].
+template <typename P, OverlayTopology G>
+void run_sc_walks(const G& g, NodeId origin, double timer, std::size_t ell,
+                  std::span<const Rng> streams, std::span<ScEstimate> trials,
+                  std::size_t begin, std::size_t end, std::span<P> probes,
+                  ParallelRunner& runner, BatchStats& stats) {
+  std::vector<ScTrialRaw> raw(trials.size());
+  const bool kernel_ran = run_walks(
+      runner, begin, end,
+      [&](WalkCursor& cursor, std::size_t lanes) {
+        sc_kernel(g, origin, timer, ell, streams, std::span<ScTrialRaw>(raw),
+                  lanes, cursor, probes);
+      },
+      [&](std::size_t t) {
+        SampleCollideEstimator estimator(g, origin, timer, ell, streams[t]);
+        trials[t] = estimator.estimate(walk_probe(probes, t));
+      },
+      stats);
+  if (kernel_ran)
+    for (std::size_t t = begin; t < end; ++t)
+      trials[t] = finalize_sc_trial(raw[t], ell);
+}
+
+/// The body of run_tours and run_tours_probed; with P = NullProbe the
+/// `probes` span is empty and the walks run unprobed.
+template <typename P, OverlayTopology G, typename F>
+TourBatch tour_batch(const G& g, NodeId origin, std::size_t m, F& f,
+                     std::uint64_t seed, ParallelRunner& runner,
+                     std::uint64_t max_steps, std::span<P> probes) {
+  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
+  TourBatch batch;
+  batch.tours.resize(m);
+  const auto streams = derive_streams(seed, m);
+  run_tour_walks(g, origin, f, std::span<const Rng>(streams),
+                 std::span<TourEstimate>(batch.tours), 0, m, max_steps,
+                 probes, runner, batch.stats);
+  finish_tour_batch(batch);
+  // Cost attribution rides the caller's CostScope (serve batches set one);
+  // one charge per batch, never per step. No-op without an active ledger.
+  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
+                    batch.stats.cpu_seconds);
+  return batch;
+}
+
+/// The body of run_samples and run_samples_probed (see tour_batch).
+template <typename P, OverlayTopology G>
+SampleBatch sample_batch(const G& g, NodeId origin, std::size_t m,
+                         double timer, std::uint64_t seed,
+                         ParallelRunner& runner, std::span<P> probes) {
+  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
+  SampleBatch batch;
+  batch.samples.resize(m);
+  const auto streams = derive_streams(seed, m);
+  run_walks(
+      runner, 0, m,
+      [&](WalkCursor& cursor, std::size_t lanes) {
+        ctrw_kernel(g, origin, timer, std::span<const Rng>(streams),
+                    std::span<SampleResult>(batch.samples), lanes, cursor,
+                    probes);
+      },
+      [&](std::size_t w) {
+        Rng rng = streams[w];
+        batch.samples[w] =
+            ctrw_sample(g, origin, timer, rng, walk_probe(probes, w));
+      },
+      batch.stats);
+  for (const auto& s : batch.samples) batch.total_hops += s.hops;
+  batch.stats.steps = batch.total_hops;
+  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
+                    batch.stats.cpu_seconds);
+  return batch;
+}
+
+/// The body of run_sc_trials and run_sc_trials_probed (see tour_batch).
+template <typename P, OverlayTopology G>
+ScBatch sc_batch(const G& g, NodeId origin, std::size_t trials, double timer,
+                 std::size_t ell, std::uint64_t seed, ParallelRunner& runner,
+                 std::span<P> probes) {
+  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
+  ScBatch batch;
+  batch.trials.resize(trials);
+  const auto streams = derive_streams(seed, trials);
+  run_sc_walks(g, origin, timer, ell, std::span<const Rng>(streams),
+               std::span<ScEstimate>(batch.trials), 0, trials, probes,
+               runner, batch.stats);
+  finish_sc_batch(batch);
+  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
+                    batch.stats.cpu_seconds);
+  return batch;
+}
+
 }  // namespace detail
 
 /// m independent Random Tours estimating sum_j f(j), on an existing pool.
@@ -161,40 +346,8 @@ template <OverlayTopology G, typename F>
 TourBatch run_tours(const G& g, NodeId origin, std::size_t m, F f,
                     std::uint64_t seed, ParallelRunner& runner,
                     std::uint64_t max_steps = ~0ULL) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  TourBatch batch;
-  auto streams = derive_streams(seed, m);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && m >= width) {
-    batch.tours.resize(m);
-    runner.run<char>(
-        detail::kernel_chunk_count(m, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, m - begin);
-          tour_kernel(g, origin, f,
-                      std::span<Rng>(streams).subspan(begin, count),
-                      std::span<TourEstimate>(batch.tours)
-                          .subspan(begin, count),
-                      count, max_steps);
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = m;  // chunking is an implementation detail
-  } else {
-    batch.tours = runner.run<TourEstimate>(
-        m,
-        [&](std::size_t i) {
-          return random_tour(g, origin, f, streams[i], max_steps);
-        },
-        &batch.stats);
-  }
-  detail::finish_tour_batch(batch);
-  // Cost attribution rides the caller's CostScope (serve batches set one);
-  // one charge per batch, never per step. No-op without an active ledger.
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
+  return detail::tour_batch(g, origin, m, f, seed, runner, max_steps,
+                            std::span<NullProbe>());
 }
 
 /// m independent Random Tours on a throwaway pool of `n_threads` threads.
@@ -223,7 +376,7 @@ TourBatch run_tours_size(const G& g, NodeId origin, std::size_t m,
   return run_tours_size(g, origin, m, seed, runner, max_steps);
 }
 
-/// m independent Random Tours with per-walk probe statistics: each task
+/// m independent Random Tours with per-walk probe statistics: each walk
 /// records into its own WalkStats (one WalkStatsProbe per tour, so revisit
 /// tracking stays walk-local) and `walk_out` receives the deterministic
 /// fold. The batch itself — every tour, the reduced sum, BatchStats — is
@@ -234,44 +387,12 @@ TourBatch run_tours_probed(const G& g, NodeId origin, std::size_t m, F f,
                            std::uint64_t seed, ParallelRunner& runner,
                            WalkStats& walk_out,
                            std::uint64_t max_steps = ~0ULL) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  TourBatch batch;
-  auto streams = derive_streams(seed, m);
-  std::vector<WalkStats> per_task(m);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && m >= width) {
-    batch.tours.resize(m);
-    runner.run<char>(
-        detail::kernel_chunk_count(m, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, m - begin);
-          std::vector<WalkStatsProbe> probes;
-          probes.reserve(count);
-          for (std::size_t j = 0; j < count; ++j)
-            probes.emplace_back(per_task[begin + j]);
-          tour_kernel(g, origin, f,
-                      std::span<Rng>(streams).subspan(begin, count),
-                      std::span<TourEstimate>(batch.tours)
-                          .subspan(begin, count),
-                      count, max_steps, std::span<WalkStatsProbe>(probes));
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = m;
-  } else {
-    batch.tours = runner.run<TourEstimate>(
-        m,
-        [&](std::size_t i) {
-          WalkStatsProbe probe(per_task[i]);
-          return random_tour(g, origin, f, streams[i], max_steps, probe);
-        },
-        &batch.stats);
-  }
-  detail::finish_tour_batch(batch);
-  walk_out = detail::fold_walk_stats(per_task);
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
+  std::vector<WalkStats> per_walk(m);
+  auto probes = detail::walk_probes(per_walk);
+  TourBatch batch = detail::tour_batch(g, origin, m, f, seed, runner,
+                                       max_steps,
+                                       std::span<WalkStatsProbe>(probes));
+  walk_out = detail::fold_walk_stats(per_walk);
   return batch;
 }
 
@@ -301,39 +422,8 @@ template <OverlayTopology G>
 SampleBatch run_samples(const G& g, NodeId origin, std::size_t m,
                         double timer, std::uint64_t seed,
                         ParallelRunner& runner) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  SampleBatch batch;
-  auto streams = derive_streams(seed, m);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && m >= width) {
-    batch.samples.resize(m);
-    runner.run<char>(
-        detail::kernel_chunk_count(m, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, m - begin);
-          ctrw_kernel(g, origin, timer,
-                      std::span<Rng>(streams).subspan(begin, count),
-                      std::span<SampleResult>(batch.samples)
-                          .subspan(begin, count),
-                      count);
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = m;
-  } else {
-    batch.samples = runner.run<SampleResult>(
-        m,
-        [&](std::size_t i) {
-          return ctrw_sample(g, origin, timer, streams[i]);
-        },
-        &batch.stats);
-  }
-  for (const auto& s : batch.samples) batch.total_hops += s.hops;
-  batch.stats.steps = batch.total_hops;
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
+  return detail::sample_batch(g, origin, m, timer, seed, runner,
+                              std::span<NullProbe>());
 }
 
 template <OverlayTopology G>
@@ -350,45 +440,11 @@ template <OverlayTopology G>
 SampleBatch run_samples_probed(const G& g, NodeId origin, std::size_t m,
                                double timer, std::uint64_t seed,
                                ParallelRunner& runner, WalkStats& walk_out) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  SampleBatch batch;
-  auto streams = derive_streams(seed, m);
-  std::vector<WalkStats> per_task(m);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && m >= width) {
-    batch.samples.resize(m);
-    runner.run<char>(
-        detail::kernel_chunk_count(m, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, m - begin);
-          std::vector<WalkStatsProbe> probes;
-          probes.reserve(count);
-          for (std::size_t j = 0; j < count; ++j)
-            probes.emplace_back(per_task[begin + j]);
-          ctrw_kernel(g, origin, timer,
-                      std::span<Rng>(streams).subspan(begin, count),
-                      std::span<SampleResult>(batch.samples)
-                          .subspan(begin, count),
-                      count, std::span<WalkStatsProbe>(probes));
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = m;
-  } else {
-    batch.samples = runner.run<SampleResult>(
-        m,
-        [&](std::size_t i) {
-          WalkStatsProbe probe(per_task[i]);
-          return ctrw_sample(g, origin, timer, streams[i], probe);
-        },
-        &batch.stats);
-  }
-  for (const auto& s : batch.samples) batch.total_hops += s.hops;
-  batch.stats.steps = batch.total_hops;
-  walk_out = detail::fold_walk_stats(per_task);
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
+  std::vector<WalkStats> per_walk(m);
+  auto probes = detail::walk_probes(per_walk);
+  SampleBatch batch = detail::sample_batch(
+      g, origin, m, timer, seed, runner, std::span<WalkStatsProbe>(probes));
+  walk_out = detail::fold_walk_stats(per_walk);
   return batch;
 }
 
@@ -398,50 +454,8 @@ template <OverlayTopology G>
 ScBatch run_sc_trials(const G& g, NodeId origin, std::size_t trials,
                       double timer, std::size_t ell, std::uint64_t seed,
                       ParallelRunner& runner) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  ScBatch batch;
-  auto streams = derive_streams(seed, trials);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && trials >= width) {
-    batch.trials.resize(trials);
-    runner.run<char>(
-        detail::kernel_chunk_count(trials, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, trials - begin);
-          std::vector<ScTrialRaw> raw(count);
-          sc_kernel(g, origin, timer, ell,
-                    std::span<Rng>(streams).subspan(begin, count),
-                    std::span<ScTrialRaw>(raw), count);
-          for (std::size_t j = 0; j < count; ++j)
-            batch.trials[begin + j] = detail::finalize_sc_trial(raw[j], ell);
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = trials;
-  } else {
-    batch.trials = runner.run<ScEstimate>(
-        trials,
-        [&](std::size_t i) {
-          SampleCollideEstimator estimator(g, origin, timer, ell, streams[i]);
-          return estimator.estimate();
-        },
-        &batch.stats);
-  }
-  std::vector<double> simple, ml;
-  simple.reserve(trials);
-  ml.reserve(trials);
-  for (const auto& t : batch.trials) {
-    batch.total_hops += t.hops;
-    simple.push_back(t.simple);
-    ml.push_back(t.ml);
-  }
-  batch.sum_simple = tree_sum(simple);
-  batch.sum_ml = tree_sum(ml);
-  batch.stats.steps = batch.total_hops;
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
+  return detail::sc_batch(g, origin, trials, timer, ell, seed, runner,
+                          std::span<NullProbe>());
 }
 
 template <OverlayTopology G>
@@ -460,57 +474,12 @@ ScBatch run_sc_trials_probed(const G& g, NodeId origin, std::size_t trials,
                              double timer, std::size_t ell,
                              std::uint64_t seed, ParallelRunner& runner,
                              WalkStats& walk_out) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  ScBatch batch;
-  auto streams = derive_streams(seed, trials);
-  std::vector<WalkStats> per_task(trials);
-  const std::size_t width = resolved_kernel_width(runner.kernel_width());
-  if (width > 1 && trials >= width) {
-    batch.trials.resize(trials);
-    runner.run<char>(
-        detail::kernel_chunk_count(trials, width),
-        [&](std::size_t c) {
-          const std::size_t begin = c * width;
-          const std::size_t count = std::min(width, trials - begin);
-          std::vector<WalkStatsProbe> probes;
-          probes.reserve(count);
-          for (std::size_t j = 0; j < count; ++j)
-            probes.emplace_back(per_task[begin + j]);
-          std::vector<ScTrialRaw> raw(count);
-          sc_kernel(g, origin, timer, ell,
-                    std::span<Rng>(streams).subspan(begin, count),
-                    std::span<ScTrialRaw>(raw), count,
-                    std::span<WalkStatsProbe>(probes));
-          for (std::size_t j = 0; j < count; ++j)
-            batch.trials[begin + j] = detail::finalize_sc_trial(raw[j], ell);
-          return char{0};
-        },
-        &batch.stats);
-    batch.stats.tasks = trials;
-  } else {
-    batch.trials = runner.run<ScEstimate>(
-        trials,
-        [&](std::size_t i) {
-          SampleCollideEstimator estimator(g, origin, timer, ell, streams[i]);
-          WalkStatsProbe probe(per_task[i]);
-          return estimator.estimate(probe);
-        },
-        &batch.stats);
-  }
-  std::vector<double> simple, ml;
-  simple.reserve(trials);
-  ml.reserve(trials);
-  for (const auto& t : batch.trials) {
-    batch.total_hops += t.hops;
-    simple.push_back(t.simple);
-    ml.push_back(t.ml);
-  }
-  batch.sum_simple = tree_sum(simple);
-  batch.sum_ml = tree_sum(ml);
-  batch.stats.steps = batch.total_hops;
-  walk_out = detail::fold_walk_stats(per_task);
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
+  std::vector<WalkStats> per_walk(trials);
+  auto probes = detail::walk_probes(per_walk);
+  ScBatch batch =
+      detail::sc_batch(g, origin, trials, timer, ell, seed, runner,
+                       std::span<WalkStatsProbe>(probes));
+  walk_out = detail::fold_walk_stats(per_walk);
   return batch;
 }
 

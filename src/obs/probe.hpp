@@ -114,8 +114,9 @@ struct WalkStats {
 };
 
 /// Probe that accumulates into a caller-owned WalkStats. Single-threaded by
-/// design: parallel batches give each task its own probe and fold the
-/// results deterministically afterwards.
+/// design: parallel batches give each walk its own probe and fold the
+/// results deterministically afterwards. A batch keeps all its probes alive
+/// until the fold, so a tour's revisit set is freed when the tour ends.
 class WalkStatsProbe {
  public:
   static constexpr bool enabled = true;
@@ -139,6 +140,7 @@ class WalkStatsProbe {
     out_->collision_gaps.record(gap);
   }
   void tour_end(std::uint64_t steps, bool completed) {
+    std::unordered_set<std::uint64_t>().swap(seen_);
     ++out_->tours;
     if (completed)
       ++out_->completed_tours;

@@ -1,7 +1,7 @@
 // Per-batch runtime counters reported by every ParallelRunner batch and the
 // core batch estimator APIs built on it: how many tasks ran, how much
 // domain-level work they did (walk steps / hops), and how long the batch
-// took in wall-clock and process-CPU time. The counters are what the bench
+// took in wall-clock and CPU time. The counters are what the bench
 // harness surfaces next to each figure so speedups are visible in the
 // output, not just in a stopwatch.
 #pragma once
@@ -20,7 +20,7 @@ struct BatchStats {
   std::size_t tasks = 0;         ///< tasks executed in the batch
   std::uint64_t steps = 0;       ///< domain work units (walk steps / hops)
   double wall_seconds = 0.0;     ///< elapsed wall-clock time
-  double cpu_seconds = 0.0;      ///< process CPU time (sums across threads)
+  double cpu_seconds = 0.0;      ///< CPU time of the batch's threads (summed)
   unsigned threads = 1;          ///< pool size the batch ran on
 
   /// Aggregate throughput; 0 when no time elapsed.

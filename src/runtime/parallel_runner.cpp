@@ -1,7 +1,8 @@
 #include "runtime/parallel_runner.hpp"
 
 #include <chrono>
-#include <ctime>
+
+#include <time.h>
 
 // Header-only span tracing (obs/trace.hpp): the runtime layer stays below
 // obs in the link graph — TraceSpan and the active-recorder check are all
@@ -21,6 +22,18 @@ std::vector<Rng> derive_streams(std::uint64_t seed, std::size_t n) {
 double tree_sum(std::span<const double> xs) {
   return tree_reduce(xs, 0.0, [](double a, double b) { return a + b; });
 }
+
+namespace {
+
+/// CPU time consumed so far by the calling thread.
+double thread_cpu_seconds() noexcept {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+}  // namespace
 
 ParallelRunner::ParallelRunner(unsigned n_threads, std::size_t kernel_width)
     : kernel_width_(kernel_width) {
@@ -44,7 +57,7 @@ void ParallelRunner::dispatch(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               BatchStats* stats) {
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::clock_t cpu_start = std::clock();
+  double cpu_seconds = 0.0;  // summed over the workers that ran the batch
   TraceSpan batch_span("runner", "runner.dispatch", "tasks",
                        static_cast<std::uint64_t>(n));
   if (n > 0) {
@@ -54,12 +67,14 @@ void ParallelRunner::dispatch(std::size_t n,
       job_size_ = n;
       next_index_.store(0, std::memory_order_relaxed);
       active_workers_ = workers_.size();
+      job_cpu_seconds_ = 0.0;
       ++generation_;
     }
     work_cv_.notify_all();
     std::unique_lock lock(mutex_);
     done_cv_.wait(lock, [&] { return active_workers_ == 0; });
     job_ = nullptr;
+    cpu_seconds = job_cpu_seconds_;
   }
   if (stats != nullptr) {
     stats->tasks = n;
@@ -68,8 +83,7 @@ void ParallelRunner::dispatch(std::size_t n,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    stats->cpu_seconds = static_cast<double>(std::clock() - cpu_start) /
-                         static_cast<double>(CLOCKS_PER_SEC);
+    stats->cpu_seconds = cpu_seconds;
   }
 }
 
@@ -92,6 +106,7 @@ void ParallelRunner::worker_loop() {
     // of the pull loop, so the untraced path stays one atomic load per
     // BATCH, not per task.
     const bool tracing = trace_active();
+    const double cpu_start = thread_cpu_seconds();
     for (std::size_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
          i < size;
          i = next_index_.fetch_add(1, std::memory_order_relaxed)) {
@@ -103,8 +118,10 @@ void ParallelRunner::worker_loop() {
         (*job)(i);
       }
     }
+    const double cpu_used = thread_cpu_seconds() - cpu_start;
     {
       std::lock_guard lock(mutex_);
+      job_cpu_seconds_ += cpu_used;
       if (--active_workers_ == 0) done_cv_.notify_all();
     }
   }

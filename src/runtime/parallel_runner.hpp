@@ -100,8 +100,10 @@ class ParallelRunner {
   /// throw, the exception of the LOWEST task index is rethrown to the
   /// caller after the batch drains (deterministic regardless of which
   /// worker hit it first). `stats`, when non-null, receives the batch
-  /// counters (tasks, wall/cpu time, threads; `steps` is left to the caller
-  /// because only it knows the domain work units).
+  /// counters (tasks, wall time, threads, and the CPU time of this pool's
+  /// workers over the batch, so a concurrent batch on another runner is
+  /// never charged to this one; `steps` is left to the caller because only
+  /// it knows the domain work units).
   template <typename T, typename Task>
   std::vector<T> run(std::size_t n_tasks, Task&& task,
                      BatchStats* stats = nullptr) {
@@ -134,6 +136,7 @@ class ParallelRunner {
   std::size_t job_size_ = 0;                               // guarded by mutex_
   std::atomic<std::size_t> next_index_{0};
   std::size_t active_workers_ = 0;  // guarded by mutex_
+  double job_cpu_seconds_ = 0.0;    // guarded by mutex_; workers' CPU delta
   std::uint64_t generation_ = 0;    // guarded by mutex_
   bool stopping_ = false;           // guarded by mutex_
 };

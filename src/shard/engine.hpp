@@ -462,7 +462,8 @@ class ShardedWalkEngine {
     std::uint32_t cost_ctx = 0;  ///< cost context the batch is charged to
   };
 
-  /// Wall+CPU stopwatch matching ParallelRunner::dispatch's accounting.
+  /// Wall + process-CPU stopwatch over a whole multi-round batch. Unlike
+  /// ParallelRunner::dispatch it counts every thread of the process.
   class BatchTimer {
    public:
     BatchTimer()

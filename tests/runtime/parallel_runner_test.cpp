@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -110,6 +113,42 @@ TEST(ParallelRunner, FillsBatchStats) {
   EXPECT_EQ(stats.threads, 2u);
   EXPECT_GE(stats.wall_seconds, 0.0);
   EXPECT_GE(stats.cpu_seconds, 0.0);
+}
+
+// A batch's CPU time is its own workers' CPU. Two runners batching at the
+// same time must not charge each other: with process-wide CPU accounting
+// each batch below reports about twice the CPU it used (efficiency ~2 on a
+// machine with four free cores).
+TEST(ParallelRunner, ConcurrentRunnersAreChargedOnlyTheirOwnCpu) {
+  using Clock = std::chrono::steady_clock;
+  constexpr unsigned kThreads = 2;
+  constexpr unsigned kRunners = 2;
+  std::atomic<unsigned> started{0};
+  // Every task first waits until all tasks of both batches run (the waiting
+  // task holds its worker, so each task is on its own thread), then spins
+  // for a fixed wall time: the two batches overlap for their whole length.
+  const auto burn = [&](std::size_t) {
+    started.fetch_add(1);
+    const auto give_up = Clock::now() + std::chrono::seconds(10);
+    while (started.load() < kThreads * kRunners && Clock::now() < give_up) {
+    }
+    const auto until = Clock::now() + std::chrono::milliseconds(150);
+    while (Clock::now() < until) {
+    }
+    return 0;
+  };
+  BatchStats stats[kRunners];
+  std::vector<std::thread> callers;
+  for (unsigned r = 0; r < kRunners; ++r)
+    callers.emplace_back([&, r] {
+      ParallelRunner runner(kThreads);
+      runner.run<int>(kThreads, burn, &stats[r]);
+    });
+  for (auto& caller : callers) caller.join();
+  for (const auto& s : stats) {
+    EXPECT_GT(s.cpu_seconds, 0.0);
+    EXPECT_LE(s.parallel_efficiency(), 1.05);
+  }
 }
 
 TEST(DeriveStreams, PureInSeedAndIndex) {
