@@ -246,6 +246,44 @@ void BM_TourBatchServeShape(benchmark::State& state) {
 BENCHMARK(BM_TourBatchServeShape)->UseRealTime()->Unit(
     benchmark::kMillisecond);
 
+// The kernel on a graph far larger than L2: a 500k-node balanced graph
+// (about 4.5M adjacency entries plus 4 MB of offsets), 32 tours from node 0,
+// one thread. Every step's offset and adjacency loads then miss cache, so
+// this is where the driver's prefetch distance shows; width:1 is the
+// no-overlap floor. Named outside perf-smoke's BM_RandomTour* diff: its
+// items/s depend on the host's memory system more than on the code.
+const Graph& large_balanced_graph() {
+  static const Graph g = [] {
+    Rng rng(11);
+    return balanced_random_graph(500000, rng);
+  }();
+  return g;
+}
+
+void BM_LargeGraphTourKernel(benchmark::State& state) {
+  const Graph& g = large_balanced_graph();
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const std::size_t walks = 32;
+  const auto streams = derive_streams(9, walks);
+  std::vector<TourEstimate> out(walks);
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    tour_kernel(
+        g, 0, [](NodeId) { return 1.0; }, std::span<const Rng>(streams),
+        std::span<TourEstimate>(out), width);
+    for (const auto& t : out) steps += t.steps;
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+}
+BENCHMARK(BM_LargeGraphTourKernel)
+    ->ArgName("width")
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Unit(benchmark::kMillisecond);
+
 // Same scaling probe for a batch of CTRW samples (the S&C inner loop).
 void BM_SampleBatchParallel(benchmark::State& state) {
   const Graph& g = balanced_graph();

@@ -123,14 +123,25 @@ Graph DynamicGraph::snapshot(std::vector<NodeId>* old_to_new) const {
   NodeId next = 0;
   for (NodeId v = 0; v < adjacency_.size(); ++v)
     if (alive_[v]) map[v] = next++;
-  GraphBuilder b(next);
+  // The adjacency lists hold no self-loop or parallel edge (add_edge
+  // rejects both), so they are copied straight into the CSR arrays. `map`
+  // preserves id order, so sorting the renamed list sorts the snapshot's.
+  Graph g;
+  g.offsets_.resize(static_cast<std::size_t>(next) + 1, 0);
+  for (NodeId v = 0; v < adjacency_.size(); ++v)
+    if (alive_[v])
+      g.offsets_[map[v] + 1] = g.offsets_[map[v]] + adjacency_[v].size();
+  g.adjacency_.resize(g.offsets_.back());
   for (NodeId v = 0; v < adjacency_.size(); ++v) {
     if (!alive_[v]) continue;
-    for (NodeId u : adjacency_[v])
-      if (v < u) b.add_edge(map[v], map[u]);
+    const auto out = g.adjacency_.begin() +
+                     static_cast<std::ptrdiff_t>(g.offsets_[map[v]]);
+    std::transform(adjacency_[v].begin(), adjacency_[v].end(), out,
+                   [&map](NodeId u) { return map[u]; });
+    std::sort(out, out + static_cast<std::ptrdiff_t>(adjacency_[v].size()));
   }
   if (old_to_new != nullptr) *old_to_new = std::move(map);
-  return b.build();
+  return g;
 }
 
 bool DynamicGraph::check_invariants() const {

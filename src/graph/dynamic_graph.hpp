@@ -80,8 +80,10 @@ class DynamicGraph {
   /// All nodes in v's connected component.
   std::vector<NodeId> component_nodes(NodeId v) const;
 
-  /// Compacts alive nodes into a static Graph. `old_to_new[v]` gives each
-  /// alive node's id in the snapshot (and is left untouched for dead nodes).
+  /// Compacts alive nodes into a static Graph, keeping their id order:
+  /// `old_to_new` is resized to num_slots(), and `old_to_new[v]` gives each
+  /// alive node's id in the snapshot (dead slots hold 0). Writes the CSR
+  /// arrays directly in O(n + |E| log d_max), without a GraphBuilder.
   Graph snapshot(std::vector<NodeId>* old_to_new = nullptr) const;
 
   /// Internal-consistency check (symmetry, aliveness, edge count); used by

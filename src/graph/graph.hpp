@@ -62,6 +62,7 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend class DynamicGraph;  // snapshot() writes the CSR arrays directly
   std::vector<std::size_t> offsets_;  // size n+1
   std::vector<NodeId> adjacency_;     // size 2|E|
 };

@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 namespace overcount {
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
@@ -11,56 +9,9 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform_positive() noexcept {
-  double u;
-  do {
-    u = uniform();
-  } while (u == 0.0);
-  return u;
-}
-
-std::uint64_t Rng::uniform_below(std::uint64_t bound) noexcept {
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -69,11 +20,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (range == 0) return static_cast<std::int64_t>(next());  // full range
   return lo + static_cast<std::int64_t>(uniform_below(range));
-}
-
-double Rng::exponential(double rate) {
-  OVERCOUNT_EXPECTS(rate > 0.0);
-  return -std::log(uniform_positive()) / rate;
 }
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }

@@ -9,8 +9,8 @@
 // on memory. Das Sarma et al. (PAPERS.md) break the chain in the distributed
 // setting by running many short walks concurrently and stitching them; the
 // single-machine analogue implemented here interleaves a width-W band of
-// INDEPENDENT walks in one thread, round-robin, so W loads are in flight at
-// once instead of one.
+// INDEPENDENT walks in one thread, sweep by sweep, so W loads are in flight
+// at once instead of one.
 //
 // Lane scheduling: a kernel call takes walk indices from a WalkCursor. The
 // batch layer (core/parallel.hpp) gives every pool worker ONE kernel call on
@@ -20,14 +20,22 @@
 // Tour lengths are heavy-tailed; refilling from the batch keeps all W lanes
 // busy until the batch's last walks, instead of draining a fixed chunk.
 //
-// Each lane alternates two phases per step, giving every potentially-missing
-// load a full rotation (W-1 other lane turns) between prefetch and use:
+// Lane state is structure-of-arrays (kernel_detail::Lanes: one array per
+// field, indexed by lane), and all three kernels run on the same driver.
+// It sweeps phase-major, giving every potentially-missing load a full sweep
+// over the other lanes between prefetch and use:
 //
-//   read phase     at = *ptr            adjacency element, prefetched one
-//                                       rotation ago when ptr was drawn
+//   read sweep     at = *next          adjacency element, prefetched when
+//                                      the last process sweep drew next
+//                  end the walk, or    a lane whose walk ended claims the
+//                                      next walk, or retires (swap-remove)
 //                  prefetch offsets[at] via kernel_prefetch / G::prefetch
-//   process phase  nbrs = neighbors(at) offsets now (likely) cached
-//                  draw k; ptr = &nbrs[k]; __builtin_prefetch(ptr)
+//   process sweep  nbrs = neighbors(at) offsets now (likely) cached
+//                  accumulate; draw k; next = &nbrs[k]; prefetch(next)
+//
+// A walk starts at its origin in the process state, so the first process
+// sweep takes its step out of the origin. A CTRW whose timer dies in the
+// process sweep sets next = nullptr and ends at the following read sweep.
 //
 // Determinism contract: walk w draws ONLY from a copy of streams[w] that its
 // lane takes when the walk starts (the shared stream vector is read once per
@@ -54,6 +62,7 @@
 #include <cstdint>
 #include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 // TourEstimate and SampleResult are header-only result structs; including
@@ -116,42 +125,130 @@ struct ScTrialRaw {
 
 namespace kernel_detail {
 
-/// Start-of-walk draw shared by tour lanes: pick the first step out of the
-/// origin on the lane's own stream and prefetch the adjacency element.
+/// Draws the next step out of `nbrs` on the lane's own stream and
+/// prefetches the adjacency element the next read sweep loads.
 inline const NodeId* draw_step(std::span<const NodeId> nbrs, Rng& rng) {
   const NodeId* p = nbrs.data() + rng.uniform_below(nbrs.size());
   __builtin_prefetch(p);
   return p;
 }
 
-/// The lane scheduler all three kernels share. Fills up to `width` lanes
-/// from `cursor` with `start(lane, walk)`, then turns the lanes round-robin:
-/// `advance(lane)` runs one phase of the lane's walk and returns true when
-/// that walk (or S&C trial) has ended and its result is stored. An ended
-/// lane claims the next walk from the cursor, or retires when none is left;
-/// either way the refilled (or swapped-in) lane takes the freed turn next.
-template <typename Lane, typename Start, typename Advance>
-void drive_lanes(WalkCursor& cursor, std::size_t width, Start&& start,
-                 Advance&& advance) {
-  std::vector<Lane> lanes;
-  lanes.reserve(width);
-  std::size_t walk = 0;
-  while (lanes.size() < width && cursor.claim(walk))
-    start(lanes.emplace_back(), walk);
+/// Per-lane state a kernel keeps beside the shared fields; none for walks
+/// whose whole state fits them.
+struct NoExtra {};
 
-  std::size_t li = 0;
-  while (!lanes.empty()) {
-    if (li >= lanes.size()) li = 0;
-    Lane& lane = lanes[li];
-    if (!advance(lane)) {
-      ++li;
-    } else if (cursor.claim(walk)) {
-      start(lane, walk);
-    } else {
-      if (li + 1 != lanes.size()) lanes[li] = std::move(lanes.back());
-      lanes.pop_back();
+/// The lane driver all three kernels share. Lane state is kept as
+/// structure-of-arrays, one array per field; lanes [0, live) hold walks in
+/// flight. run() fills up to `width` lanes from the cursor with
+/// `start(lane, walk)`, which leaves the lane at its origin in the process
+/// state, then alternates two sweeps over the live lanes until none is
+/// left: `process(lane)` runs the lane's process phase, and `read(lane)`
+/// its read phase, returning true once the walk (or S&C trial) has ended
+/// and its result is stored. An ended lane claims the next walk from the
+/// cursor, or retires when none is left: the last live lane moves into its
+/// slot and is read next, since it has not been read in this sweep yet.
+template <typename Extra = NoExtra>
+struct Lanes {
+  explicit Lanes(std::size_t width)
+      : rng(width),
+        walk(width),
+        acc(width),
+        steps(width),
+        next(width),
+        at(width),
+        trace_t0(width),
+        extra(width) {}
+
+  std::vector<Rng> rng;              // the walk's stream, copied at start
+  std::vector<std::size_t> walk;     // index into streams/out/probes
+  std::vector<double> acc;           // tour: X accumulator; CTRW: timer left
+  std::vector<std::uint64_t> steps;  // tour steps / CTRW hops of the walk
+  std::vector<const NodeId*> next;   // element the next read sweep loads
+  std::vector<NodeId> at;            // node the next process sweep handles
+  std::vector<std::uint64_t> trace_t0;  // span start (written when tracing)
+  std::vector<Extra> extra;
+
+  template <typename Start, typename Process, typename Read>
+  void run(WalkCursor& cursor, Start&& start, Process&& process,
+           Read&& read) {
+    const std::size_t width = walk.size();
+    std::size_t live = 0;
+    std::size_t w = 0;
+    while (live < width && cursor.claim(w)) start(live++, w);
+    while (live > 0) {
+      for (std::size_t i = 0; i < live; ++i) process(i);
+      for (std::size_t i = 0; i < live;) {
+        if (!read(i)) {
+          ++i;
+        } else if (cursor.claim(w)) {
+          start(i, w);
+          ++i;
+        } else if (i != --live) {
+          move_lane(live, i);
+        }
+      }
     }
   }
+
+ private:
+  void move_lane(std::size_t from, std::size_t to) {
+    rng[to] = rng[from];
+    walk[to] = walk[from];
+    acc[to] = acc[from];
+    steps[to] = steps[from];
+    next[to] = next[from];
+    at[to] = at[from];
+    trace_t0[to] = trace_t0[from];
+    extra[to] = std::move(extra[from]);
+  }
+};
+
+/// Starts a CTRW sampling walk of horizon `timer` from `origin` in lane i;
+/// the scalar ctrw_sample processes the origin first.
+template <typename Extra, WalkProbe P>
+void ctrw_begin(Lanes<Extra>& lanes, std::size_t i, NodeId origin,
+                double timer, std::span<P> probes) {
+  if constexpr (probe_enabled_v<P>) probes[lanes.walk[i]].walk_begin(origin);
+  lanes.at[i] = origin;
+  lanes.acc[i] = timer;
+  lanes.steps[i] = 0;
+}
+
+/// CTRW process phase of lane i: the Exp(d) sojourn at the lane's node,
+/// then the next hop, or next = nullptr when the timer died there.
+template <OverlayTopology G, typename Extra, WalkProbe P>
+void ctrw_process(const G& g, Lanes<Extra>& lanes, std::size_t i,
+                  std::span<P> probes) {
+  const auto nbrs = g.neighbors(lanes.at[i]);
+  const std::size_t degree = nbrs.size();
+  OVERCOUNT_HOT_EXPECTS(degree > 0);
+  const double sojourn = lanes.rng[i].exponential(static_cast<double>(degree));
+  if constexpr (probe_enabled_v<P>)
+    probes[lanes.walk[i]].on_sojourn(std::min(sojourn, lanes.acc[i]));
+  lanes.acc[i] -= sojourn;
+  if (lanes.acc[i] <= 0.0) {
+    lanes.next[i] = nullptr;
+    return;
+  }
+  lanes.next[i] = draw_step(nbrs, lanes.rng[i]);
+  ++lanes.steps[i];
+}
+
+/// CTRW read phase of lane i. Returns true when the walk's timer died at
+/// the lane's node in the last process sweep: that node is the sample.
+template <OverlayTopology G, typename Extra, WalkProbe P>
+bool ctrw_read(const G& g, Lanes<Extra>& lanes, std::size_t i,
+               std::span<P> probes) {
+  if (lanes.next[i] == nullptr) {
+    if constexpr (probe_enabled_v<P>)
+      probes[lanes.walk[i]].sample_end(lanes.steps[i]);
+    return true;
+  }
+  const NodeId at = *lanes.next[i];
+  if constexpr (probe_enabled_v<P>) probes[lanes.walk[i]].on_visit(at);
+  lanes.at[i] = at;
+  kernel_prefetch(g, at);
+  return false;
 }
 
 }  // namespace kernel_detail
@@ -174,64 +271,54 @@ void tour_kernel(const G& g, NodeId origin, F&& f,
   if constexpr (probe_enabled_v<P>)
     OVERCOUNT_EXPECTS(probes.size() == out.size());
   if (out.empty()) return;
-  const auto origin_nbrs = g.neighbors(origin);
-  OVERCOUNT_EXPECTS(!origin_nbrs.empty());
-  const double d_origin = static_cast<double>(origin_nbrs.size());
-  const double counter0 = f(origin) / d_origin;
-
-  struct Lane {
-    Rng rng;               // this walk's stream, copied in at walk start
-    std::size_t walk;      // index into streams/out/probes
-    NodeId at;             // node being processed (process phase)
-    double counter;        // scalar random_tour's X accumulator
-    std::uint64_t steps;
-    std::uint64_t trace_t0;  // span start (only written when tracing)
-    const NodeId* ptr;     // adjacency element the next read phase loads
-    bool read_phase;
-  };
+  const double d_origin = static_cast<double>(g.degree(origin));
+  OVERCOUNT_EXPECTS(d_origin > 0);
 
   // Tracing is checked ONCE per kernel call: lane lifecycle spans cost two
   // clock reads per WALK when a recorder is installed, and a dead branch
   // otherwise. No trace call touches any stream, so traced batches stay
   // bit-identical (obs/trace.hpp).
   const bool tracing = trace_active();
-  auto start = [&](Lane& lane, std::size_t walk) {
-    lane.walk = walk;
-    lane.rng = streams[walk];
-    if (tracing) lane.trace_t0 = trace_now_us();
+  kernel_detail::Lanes<> lanes(width);
+  auto start = [&](std::size_t i, std::size_t walk) {
+    lanes.walk[i] = walk;
+    lanes.rng[i] = streams[walk];
+    if (tracing) lanes.trace_t0[i] = trace_now_us();
     if constexpr (probe_enabled_v<P>) probes[walk].walk_begin(origin);
-    lane.counter = counter0;
-    lane.ptr = kernel_detail::draw_step(origin_nbrs, lane.rng);
-    lane.steps = 1;
-    lane.read_phase = true;
+    // The first process sweep accumulates the origin's f(origin)/d_origin
+    // and draws the step out of it. -0.0 is the additive identity, so the
+    // accumulator then holds exactly the scalar random_tour's first term.
+    lanes.at[i] = origin;
+    lanes.acc[i] = -0.0;
+    lanes.steps[i] = 0;
   };
-  auto advance = [&](Lane& lane) {
-    if (lane.read_phase) {
-      const NodeId at = *lane.ptr;
-      if (at == origin || lane.steps >= max_steps) {
-        const bool completed = at == origin;
-        if constexpr (probe_enabled_v<P>)
-          probes[lane.walk].tour_end(lane.steps, completed);
-        if (tracing)
-          trace_complete("walk", "tour", lane.trace_t0, "steps", lane.steps);
-        out[lane.walk] = {d_origin * lane.counter, lane.steps, completed};
-        return true;
-      }
-      if constexpr (probe_enabled_v<P>) probes[lane.walk].on_visit(at);
-      lane.at = at;
-      kernel_prefetch(g, at);
-      lane.read_phase = false;
-    } else {
-      const auto nbrs = g.neighbors(lane.at);
-      OVERCOUNT_HOT_EXPECTS(!nbrs.empty());
-      lane.counter += f(lane.at) / static_cast<double>(nbrs.size());
-      lane.ptr = kernel_detail::draw_step(nbrs, lane.rng);
-      ++lane.steps;
-      lane.read_phase = true;
+  auto process = [&](std::size_t i) {
+    const NodeId at = lanes.at[i];
+    const auto nbrs = g.neighbors(at);
+    OVERCOUNT_HOT_EXPECTS(!nbrs.empty());
+    lanes.acc[i] += f(at) / static_cast<double>(nbrs.size());
+    lanes.next[i] = kernel_detail::draw_step(nbrs, lanes.rng[i]);
+    ++lanes.steps[i];
+  };
+  auto read = [&](std::size_t i) {
+    const NodeId at = *lanes.next[i];
+    const std::uint64_t steps = lanes.steps[i];
+    if (at == origin || steps >= max_steps) {
+      const bool completed = at == origin;
+      const std::size_t walk = lanes.walk[i];
+      if constexpr (probe_enabled_v<P>)
+        probes[walk].tour_end(steps, completed);
+      if (tracing)
+        trace_complete("walk", "tour", lanes.trace_t0[i], "steps", steps);
+      out[walk] = {d_origin * lanes.acc[i], steps, completed};
+      return true;
     }
+    if constexpr (probe_enabled_v<P>) probes[lanes.walk[i]].on_visit(at);
+    lanes.at[i] = at;
+    kernel_prefetch(g, at);
     return false;
   };
-  kernel_detail::drive_lanes<Lane>(cursor, width, start, advance);
+  lanes.run(cursor, start, process, read);
 }
 
 /// Single-call form: runs every walk of `out` on a local cursor.
@@ -261,60 +348,28 @@ void ctrw_kernel(const G& g, NodeId origin, double timer,
   if (out.empty()) return;
   OVERCOUNT_EXPECTS(g.degree(origin) > 0);
 
-  struct Lane {
-    Rng rng;
-    std::size_t walk;
-    NodeId at;
-    double remaining;
-    std::uint64_t hops;
-    std::uint64_t trace_t0;  // span start (only written when tracing)
-    const NodeId* ptr;
-    bool read_phase;
-  };
-
   // One active-recorder check per kernel call; spans are per WALK, never per
   // step, and touch no stream (see tour_kernel).
   const bool tracing = trace_active();
-  auto start = [&](Lane& lane, std::size_t walk) {
-    lane.walk = walk;
-    lane.rng = streams[walk];
-    if (tracing) lane.trace_t0 = trace_now_us();
-    if constexpr (probe_enabled_v<P>) probes[walk].walk_begin(origin);
-    lane.at = origin;
-    lane.remaining = timer;
-    lane.hops = 0;
-    lane.read_phase = false;  // scalar ctrw_sample processes the origin first
+  kernel_detail::Lanes<> lanes(width);
+  auto start = [&](std::size_t i, std::size_t walk) {
+    lanes.walk[i] = walk;
+    lanes.rng[i] = streams[walk];
+    if (tracing) lanes.trace_t0[i] = trace_now_us();
+    kernel_detail::ctrw_begin(lanes, i, origin, timer, probes);
   };
-  auto advance = [&](Lane& lane) {
-    if (lane.read_phase) {
-      lane.at = *lane.ptr;
-      if constexpr (probe_enabled_v<P>) probes[lane.walk].on_visit(lane.at);
-      kernel_prefetch(g, lane.at);
-      lane.read_phase = false;
-      return false;
-    }
-    const auto nbrs = g.neighbors(lane.at);
-    const std::size_t degree = nbrs.size();
-    OVERCOUNT_HOT_EXPECTS(degree > 0);
-    const double sojourn = lane.rng.exponential(static_cast<double>(degree));
-    if constexpr (probe_enabled_v<P>)
-      probes[lane.walk].on_sojourn(std::min(sojourn, lane.remaining));
-    lane.remaining -= sojourn;
-    if (lane.remaining <= 0.0) {
-      if constexpr (probe_enabled_v<P>)
-        probes[lane.walk].sample_end(lane.hops);
-      if (tracing)
-        trace_complete("walk", "ctrw_sample", lane.trace_t0, "hops",
-                       lane.hops);
-      out[lane.walk] = {lane.at, lane.hops};
-      return true;
-    }
-    lane.ptr = kernel_detail::draw_step(nbrs, lane.rng);
-    ++lane.hops;
-    lane.read_phase = true;
-    return false;
+  auto process = [&](std::size_t i) {
+    kernel_detail::ctrw_process(g, lanes, i, probes);
   };
-  kernel_detail::drive_lanes<Lane>(cursor, width, start, advance);
+  auto read = [&](std::size_t i) {
+    if (!kernel_detail::ctrw_read(g, lanes, i, probes)) return false;
+    if (tracing)
+      trace_complete("walk", "ctrw_sample", lanes.trace_t0[i], "hops",
+                     lanes.steps[i]);
+    out[lanes.walk[i]] = {lanes.at[i], lanes.steps[i]};
+    return true;
+  };
+  lanes.run(cursor, start, process, read);
 }
 
 /// Single-call form: runs every walk of `out` on a local cursor.
@@ -350,91 +405,61 @@ void sc_kernel(const G& g, NodeId origin, double timer, std::size_t ell,
   if (out.empty()) return;
   OVERCOUNT_EXPECTS(g.degree(origin) > 0);
 
-  struct Lane {
-    Rng rng;
-    std::size_t trial;
-    // trial-level state
+  // Trial-level state; the lane's shared fields hold the current sampling
+  // walk (acc = timer left, steps = its hops).
+  struct Trial {
     std::unordered_set<NodeId> seen;
-    std::uint64_t samples;
-    std::uint64_t collisions;
-    std::uint64_t trial_hops;
-    std::uint64_t prev_collision_at;
-    std::uint64_t trace_t0;  // trial span start (only written when tracing)
-    // current sampling walk
-    NodeId at;
-    double remaining;
-    std::uint64_t walk_hops;
-    const NodeId* ptr;
-    bool read_phase;
+    std::uint64_t samples = 0;
+    std::uint64_t collisions = 0;
+    std::uint64_t hops = 0;
+    std::uint64_t prev_collision_at = 0;
   };
 
   // One active-recorder check per kernel call; one span per TRIAL plus an
   // instant per collision — never per step (see tour_kernel).
   const bool tracing = trace_active();
-  auto start_walk = [&](Lane& lane) {
-    if constexpr (probe_enabled_v<P>) probes[lane.trial].walk_begin(origin);
-    lane.at = origin;
-    lane.remaining = timer;
-    lane.walk_hops = 0;
-    lane.read_phase = false;
+  kernel_detail::Lanes<Trial> lanes(width);
+  auto start = [&](std::size_t i, std::size_t trial) {
+    lanes.walk[i] = trial;
+    lanes.rng[i] = streams[trial];
+    if (tracing) lanes.trace_t0[i] = trace_now_us();
+    Trial& t = lanes.extra[i];
+    t.seen.clear();
+    t.samples = 0;
+    t.collisions = 0;
+    t.hops = 0;
+    t.prev_collision_at = 0;
+    kernel_detail::ctrw_begin(lanes, i, origin, timer, probes);
   };
-  auto start_trial = [&](Lane& lane, std::size_t trial) {
-    lane.trial = trial;
-    lane.rng = streams[trial];
-    if (tracing) lane.trace_t0 = trace_now_us();
-    lane.seen.clear();
-    lane.samples = 0;
-    lane.collisions = 0;
-    lane.trial_hops = 0;
-    lane.prev_collision_at = 0;
-    start_walk(lane);
+  auto process = [&](std::size_t i) {
+    kernel_detail::ctrw_process(g, lanes, i, probes);
   };
-  auto advance = [&](Lane& lane) {
-    if (lane.read_phase) {
-      lane.at = *lane.ptr;
-      if constexpr (probe_enabled_v<P>) probes[lane.trial].on_visit(lane.at);
-      kernel_prefetch(g, lane.at);
-      lane.read_phase = false;
-      return false;
-    }
-    const auto nbrs = g.neighbors(lane.at);
-    const std::size_t degree = nbrs.size();
-    OVERCOUNT_HOT_EXPECTS(degree > 0);
-    const double sojourn = lane.rng.exponential(static_cast<double>(degree));
-    if constexpr (probe_enabled_v<P>)
-      probes[lane.trial].on_sojourn(std::min(sojourn, lane.remaining));
-    lane.remaining -= sojourn;
-    if (lane.remaining > 0.0) {
-      lane.ptr = kernel_detail::draw_step(nbrs, lane.rng);
-      ++lane.walk_hops;
-      lane.read_phase = true;
-      return false;
-    }
-    // the timer died at lane.at: one sample delivered
-    if constexpr (probe_enabled_v<P>)
-      probes[lane.trial].sample_end(lane.walk_hops);
-    lane.trial_hops += lane.walk_hops;
-    ++lane.samples;
-    if (!lane.seen.insert(lane.at).second) {
-      ++lane.collisions;
+  auto read = [&](std::size_t i) {
+    if (!kernel_detail::ctrw_read(g, lanes, i, probes)) return false;
+    // the timer died at lanes.at[i]: one sample delivered
+    Trial& t = lanes.extra[i];
+    t.hops += lanes.steps[i];
+    ++t.samples;
+    if (!t.seen.insert(lanes.at[i]).second) {
+      ++t.collisions;
       if constexpr (probe_enabled_v<P>)
-        probes[lane.trial].on_collision(lane.samples - lane.prev_collision_at);
+        probes[lanes.walk[i]].on_collision(t.samples - t.prev_collision_at);
       if (tracing)
         trace_instant("walk", "sc.collision", "gap",
-                      lane.samples - lane.prev_collision_at);
-      lane.prev_collision_at = lane.samples;
+                      t.samples - t.prev_collision_at);
+      t.prev_collision_at = t.samples;
     }
-    if (lane.collisions < ell) {
-      start_walk(lane);
+    if (t.collisions < ell) {
+      kernel_detail::ctrw_begin(lanes, i, origin, timer, probes);
       return false;
     }
     if (tracing)
-      trace_complete("walk", "sc.trial", lane.trace_t0, "samples",
-                     lane.samples);
-    out[lane.trial] = {lane.samples, lane.trial_hops};
+      trace_complete("walk", "sc.trial", lanes.trace_t0[i], "samples",
+                     t.samples);
+    out[lanes.walk[i]] = {t.samples, t.hops};
     return true;
   };
-  kernel_detail::drive_lanes<Lane>(cursor, width, start_trial, advance);
+  lanes.run(cursor, start, process, read);
 }
 
 /// Single-call form: runs every trial of `out` on a local cursor.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -160,6 +161,64 @@ TEST(DynamicGraph, RandomChurnPreservesInvariants) {
       d.add_node(targets);
     }
     ASSERT_TRUE(d.check_invariants()) << "after op " << op;
+  }
+}
+
+// snapshot() writes the CSR arrays directly; it must produce exactly the
+// Graph a GraphBuilder makes from the same alive subgraph — same offsets,
+// same sorted adjacency, same id map — after any join/leave history,
+// including joins with no targets and departures that leave nodes isolated.
+TEST(DynamicGraph, SnapshotMatchesBuilderReference) {
+  for (const std::uint64_t seed : {5u, 6u, 7u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    DynamicGraph d(balanced_random_graph(120, rng));
+    for (int op = 0; op < 400; ++op) {
+      const double roll = rng.uniform();
+      if (roll < 0.45 && d.num_alive() > 10) {
+        d.remove_node(d.random_alive_node(rng));
+      } else {
+        // Join with 0 to 3 random alive targets: 0 makes an isolated node.
+        std::vector<NodeId> targets;
+        const auto wanted = rng.uniform_below(4);
+        for (std::uint64_t t = 0; t < wanted; ++t) {
+          const NodeId cand = d.random_alive_node(rng);
+          if (std::find(targets.begin(), targets.end(), cand) ==
+              targets.end())
+            targets.push_back(cand);
+        }
+        d.add_node(targets);
+      }
+      if (op % 40 != 39) continue;
+
+      std::vector<NodeId> ref_map(d.num_slots(), 0);
+      NodeId next = 0;
+      for (NodeId v = 0; v < d.num_slots(); ++v)
+        if (d.alive(v)) ref_map[v] = next++;
+      GraphBuilder b(next);
+      for (NodeId v = 0; v < d.num_slots(); ++v)
+        for (NodeId u : d.neighbors(v))
+          if (v < u) b.add_edge(ref_map[v], ref_map[u]);
+      const Graph ref = b.build();
+
+      std::vector<NodeId> map;
+      const Graph snap = d.snapshot(&map);
+      ASSERT_EQ(map, ref_map) << "after op " << op;
+      ASSERT_EQ(snap.num_nodes(), ref.num_nodes()) << "after op " << op;
+      ASSERT_EQ(snap.num_edges(), ref.num_edges()) << "after op " << op;
+      std::size_t isolated = 0;
+      for (NodeId v = 0; v < ref.num_nodes(); ++v) {
+        const auto a = snap.neighbors(v);
+        const auto e = ref.neighbors(v);
+        ASSERT_EQ(std::vector<NodeId>(a.begin(), a.end()),
+                  std::vector<NodeId>(e.begin(), e.end()))
+            << "node " << v << " after op " << op;
+        isolated += e.empty() ? 1 : 0;
+      }
+      if (op == 399) {
+        EXPECT_GT(isolated, 0u);  // the history covers isolated nodes
+      }
+    }
   }
 }
 

@@ -5,8 +5,10 @@
 // builds — tours (with and without max_steps truncation), CTRW samples,
 // S&C trials, and the interval groups of the converging runs — bit for bit
 // against the width-1 scalar batch, across threads x widths x batch sizes,
-// and check that the shared cursor starts every walk exactly once, also
-// when the batch has fewer walks than the pool has threads.
+// run each kernel on degenerate shapes (P2, a star seen from a leaf, tiny
+// batches, widths above the batch size), and check that the shared cursor
+// starts every walk exactly once, also when the batch has fewer walks than
+// the pool has threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -192,6 +194,142 @@ TEST(LaneRefill, ConvergingGroupsMatchScalarBatch) {
           expect_same_trajectory(sc_rec, sc_ref_rec);
         }
       });
+    }
+  }
+}
+
+// Degenerate shapes for the lane driver. On the path P2 every tour lasts
+// two steps (and ends on its first read under max_steps 1); from a leaf of
+// a star every second step is at the hub. Short CTRW timers end walks in
+// their first process sweep, so the read sweep ends and restarts lanes at
+// once, and m at or below the width starts every walk at once and retires
+// lanes by swap-remove. The kernels run directly at widths below, at and
+// above m (the batch layer only takes the kernel when m >= width), and every
+// per-walk result must equal the width-1 scalar batch's.
+struct Shape {
+  const char* name;
+  Graph g;
+  NodeId origin;
+};
+
+std::vector<Shape> degenerate_shapes() {
+  return {{"P2", path_graph(2), 0}, {"star-leaf", star(7), 3}};
+}
+
+const std::size_t kTinySizes[] = {1, 2, 3, 17};
+const double kTinyTimers[] = {0.25, 2.0};
+
+std::vector<std::size_t> widths_around(std::size_t m) {
+  return {2, 3, 16, m, m + 1, m + 9};
+}
+
+TEST(LaneRefill, DegenerateToursMatchScalarBatch) {
+  for (const Shape& shape : degenerate_shapes()) {
+    const Graph& g = shape.g;
+    const auto f = [](NodeId v) { return 1.0 + static_cast<double>(v); };
+    for (const std::size_t m : kTinySizes) {
+      for (const std::uint64_t cap : {std::uint64_t{1}, std::uint64_t{2},
+                                      ~std::uint64_t{0}}) {
+        SCOPED_TRACE(::testing::Message() << shape.name << " m=" << m
+                                          << " max_steps=" << cap);
+        ParallelRunner scalar(1, 1);
+        const auto reference =
+            run_tours(g, shape.origin, m, f, kSeed, scalar, cap);
+        if (cap == 1) {
+          EXPECT_EQ(reference.truncated, m);  // no tour returns in one step
+        }
+        const auto streams = derive_streams(kSeed, m);
+        for (const std::size_t width : widths_around(m)) {
+          SCOPED_TRACE(::testing::Message() << "width=" << width);
+          std::vector<TourEstimate> out(m);
+          tour_kernel(g, shape.origin, f, std::span<const Rng>(streams),
+                      std::span<TourEstimate>(out), width, cap);
+          for (std::size_t w = 0; w < m; ++w) {
+            EXPECT_EQ(out[w].value, reference.tours[w].value) << "tour " << w;
+            EXPECT_EQ(out[w].steps, reference.tours[w].steps) << "tour " << w;
+            EXPECT_EQ(out[w].completed, reference.tours[w].completed)
+                << "tour " << w;
+          }
+        }
+        for_each_pool([&](ParallelRunner& runner) {
+          expect_same_tours(run_tours(g, shape.origin, m, f, kSeed, runner,
+                                      cap),
+                            reference);
+        });
+      }
+    }
+  }
+}
+
+TEST(LaneRefill, DegenerateSamplesMatchScalarBatch) {
+  for (const Shape& shape : degenerate_shapes()) {
+    const Graph& g = shape.g;
+    for (const std::size_t m : kTinySizes) {
+      for (const double timer : kTinyTimers) {
+        SCOPED_TRACE(::testing::Message()
+                     << shape.name << " m=" << m << " timer=" << timer);
+        ParallelRunner scalar(1, 1);
+        const auto reference =
+            run_samples(g, shape.origin, m, timer, kSeed, scalar);
+        const auto streams = derive_streams(kSeed, m);
+        for (const std::size_t width : widths_around(m)) {
+          SCOPED_TRACE(::testing::Message() << "width=" << width);
+          std::vector<SampleResult> out(m);
+          ctrw_kernel(g, shape.origin, timer, std::span<const Rng>(streams),
+                      std::span<SampleResult>(out), width);
+          for (std::size_t w = 0; w < m; ++w) {
+            EXPECT_EQ(out[w].node, reference.samples[w].node) << "walk " << w;
+            EXPECT_EQ(out[w].hops, reference.samples[w].hops) << "walk " << w;
+          }
+        }
+        for_each_pool([&](ParallelRunner& runner) {
+          const auto batch =
+              run_samples(g, shape.origin, m, timer, kSeed, runner);
+          ASSERT_EQ(batch.samples.size(), m);
+          for (std::size_t w = 0; w < m; ++w) {
+            EXPECT_EQ(batch.samples[w].node, reference.samples[w].node);
+            EXPECT_EQ(batch.samples[w].hops, reference.samples[w].hops);
+          }
+          EXPECT_EQ(batch.total_hops, reference.total_hops);
+        });
+      }
+    }
+  }
+}
+
+TEST(LaneRefill, DegenerateScTrialsMatchScalarBatch) {
+  for (const Shape& shape : degenerate_shapes()) {
+    const Graph& g = shape.g;
+    for (const std::size_t m : kTinySizes) {
+      for (const double timer : kTinyTimers) {
+        for (const std::size_t ell : {std::size_t{1}, std::size_t{3}}) {
+          SCOPED_TRACE(::testing::Message() << shape.name << " m=" << m
+                                            << " timer=" << timer
+                                            << " ell=" << ell);
+          ParallelRunner scalar(1, 1);
+          const auto reference =
+              run_sc_trials(g, shape.origin, m, timer, ell, kSeed, scalar);
+          const auto streams = derive_streams(kSeed, m);
+          for (const std::size_t width : widths_around(m)) {
+            SCOPED_TRACE(::testing::Message() << "width=" << width);
+            std::vector<ScTrialRaw> out(m);
+            sc_kernel(g, shape.origin, timer, ell,
+                      std::span<const Rng>(streams),
+                      std::span<ScTrialRaw>(out), width);
+            for (std::size_t t = 0; t < m; ++t) {
+              EXPECT_EQ(out[t].samples, reference.trials[t].samples)
+                  << "trial " << t;
+              EXPECT_EQ(out[t].hops, reference.trials[t].hops)
+                  << "trial " << t;
+            }
+          }
+          for_each_pool([&](ParallelRunner& runner) {
+            expect_same_trials(run_sc_trials(g, shape.origin, m, timer, ell,
+                                             kSeed, runner),
+                               reference);
+          });
+        }
+      }
     }
   }
 }
