@@ -106,7 +106,7 @@ int main() {
 
   // Cost attribution: each client class below carries a tenant, the broker
   // opens one ledger context per admitted query, and every walk step /
-  // handoff / cache hit / queue wait bills to it. The ledger mirrors
+  // cache hit / queue wait bills to it. The ledger mirrors
   // cost.* families into the same registry /metrics exports, and the
   // tracer's cost.ctx spans let a flight bundle's profile.folded attribute
   // CPU time by tenant. Declared before the service so it outlives the

@@ -10,9 +10,9 @@ quietly land as `WalkSteps` or `serve_latency` (unit-less) and fragment
 the metric namespace:
 
   * names are lowercase `[a-z][a-z0-9_]*` — no camelCase, no colons;
-  * every family lives under a known subsystem prefix (walk_, shard_,
-    serve_, cost_, audit_, health_, des_, monitor_ — extend with
-    --allow-prefix when a new subsystem is born);
+  * every family lives under a known subsystem prefix (walk_, serve_,
+    cost_, audit_, health_, des_, monitor_ — extend with --allow-prefix
+    when a new subsystem is born);
   * counters end in `_total` exactly once (the renderer appends it;
     a doubled `_total_total` means the source name already carried it);
   * gauges and histograms never end in `_total` (that suffix is the
@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 DEFAULT_PREFIXES = [
-    "audit", "cost", "des", "health", "monitor", "serve", "shard", "walk",
+    "audit", "cost", "des", "health", "monitor", "serve", "walk",
 ]
 NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 TIME_WORD_RE = re.compile(r"(latency|wait|wall|age|ttl)")

@@ -189,9 +189,7 @@ def higher_is_better(counter):
 
 
 def lower_is_better(counter):
-    # Message-cost counters of the sharded walk engine join the latency
-    # percentiles: fewer cross-shard handoffs per tour is strictly better.
-    return "latency" in counter or "handoffs_per_tour" in counter
+    return "latency" in counter
 
 
 def diff_against_baseline(files, baseline_path, counter_re, tolerance):

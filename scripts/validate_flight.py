@@ -16,16 +16,14 @@ Per bundle:
     line is "frame[;frame...] <positive integer>";
   * metrics.json parses and carries counters/gauges/histograms objects;
   * trace.json (when present) passes the full validate_trace.py check;
-    at least ONE bundle must carry --min-flow-links flow arrows — this is
-    how CI proves a stall bundle captured walk traces that really chain
-    across shards (early bundles, dumped before any handoff thawed, may
-    legitimately hold flows with no links yet);
+    at least ONE bundle must carry --min-flow-links flow arrows (early
+    bundles, dumped mid-run, may legitimately hold flows with no links
+    yet);
   * health_events.jsonl (when present) parses line by line, every event
     carries seq/ts_us/severity/code/subsystem/message, severities are
     info/warn/critical, and seqs are strictly increasing;
   * each --require-code CODE appears on at least one health event in at
-    least one bundle (e.g. shard.superstep_stall for the stall drill,
-    serve.slo_breach for the broker-stall drill).
+    least one bundle (e.g. serve.slo_breach for the broker-stall drill).
 
 Exits non-zero with per-check errors when anything is off.
 """

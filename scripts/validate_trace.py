@@ -14,8 +14,7 @@ Checks that the file is what ui.perfetto.dev / chrome://tracing will accept:
   * timestamps are non-negative integers (microseconds);
   * at least --min-events non-metadata events were recorded;
   * at least --min-flow-links flow arrows exist (consecutive flow events
-    sharing an id draw one arrow; the health smoke test uses this to prove
-    a walk's trace really links across >= 2 shard handoffs);
+    sharing an id draw one arrow);
   * each --require-cat category appears on at least one event (so the CI
     smoke test proves the runner, walk and estimator instrumentation all
     actually fired).

@@ -1,7 +1,7 @@
 // Batch front-ends for the paper's estimators, fanned across a
 // ParallelRunner (src/runtime/): a batch of m independent Random Tours,
-// CTRW samples, Sample & Collide trials, or Metropolis walks, walk i on the
-// `Rng::split()` stream indexed by i.
+// CTRW samples or Sample & Collide trials, walk i on the `Rng::split()`
+// stream indexed by i.
 //
 // Reproducibility contract: for a fixed (graph, origin, parameters, seed)
 // the returned batch — every per-trial result AND every reduced aggregate —
@@ -45,7 +45,6 @@
 #include "obs/probe.hpp"
 #include "runtime/parallel_runner.hpp"
 #include "walk/kernel.hpp"
-#include "walk/metropolis.hpp"
 #include "walk/walkers.hpp"
 
 namespace overcount {
@@ -73,7 +72,7 @@ struct TourBatch {
   }
 };
 
-/// A batch of sampling walks (CTRW or Metropolis) from one origin.
+/// A batch of CTRW sampling walks from one origin.
 struct SampleBatch {
   std::vector<SampleResult> samples;  ///< task-index order
   std::uint64_t total_hops = 0;
@@ -480,64 +479,6 @@ ScBatch run_sc_trials_probed(const G& g, NodeId origin, std::size_t trials,
       detail::sc_batch(g, origin, trials, timer, ell, seed, runner,
                        std::span<WalkStatsProbe>(probes));
   walk_out = detail::fold_walk_stats(per_walk);
-  return batch;
-}
-
-/// m independent Metropolis-Hastings samples of `steps` transitions each.
-template <OverlayTopology G>
-SampleBatch run_metropolis_samples(const G& g, NodeId origin, std::size_t m,
-                                   std::uint64_t steps, std::uint64_t seed,
-                                   ParallelRunner& runner) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  SampleBatch batch;
-  auto streams = derive_streams(seed, m);
-  batch.samples = runner.run<SampleResult>(
-      m,
-      [&](std::size_t i) {
-        MetropolisSampler sampler(g, steps, streams[i]);
-        return sampler.sample(origin);
-      },
-      &batch.stats);
-  for (const auto& s : batch.samples) batch.total_hops += s.hops;
-  batch.stats.steps = batch.total_hops;
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
-  return batch;
-}
-
-template <OverlayTopology G>
-SampleBatch run_metropolis_samples(const G& g, NodeId origin, std::size_t m,
-                                   std::uint64_t steps, std::uint64_t seed,
-                                   unsigned n_threads) {
-  ParallelRunner runner(n_threads);
-  return run_metropolis_samples(g, origin, m, steps, seed, runner);
-}
-
-/// m probed Metropolis-Hastings samples: the fold additionally counts
-/// rejections (see run_tours_probed for the determinism contract).
-template <OverlayTopology G>
-SampleBatch run_metropolis_samples_probed(const G& g, NodeId origin,
-                                          std::size_t m, std::uint64_t steps,
-                                          std::uint64_t seed,
-                                          ParallelRunner& runner,
-                                          WalkStats& walk_out) {
-  OVERCOUNT_EXPECTS(g.degree(origin) > 0);  // unconditional boundary check
-  SampleBatch batch;
-  auto streams = derive_streams(seed, m);
-  std::vector<WalkStats> per_task(m);
-  batch.samples = runner.run<SampleResult>(
-      m,
-      [&](std::size_t i) {
-        MetropolisSampler sampler(g, steps, streams[i]);
-        WalkStatsProbe probe(per_task[i]);
-        return sampler.sample(origin, probe);
-      },
-      &batch.stats);
-  for (const auto& s : batch.samples) batch.total_hops += s.hops;
-  batch.stats.steps = batch.total_hops;
-  walk_out = detail::fold_walk_stats(per_task);
-  cost_charge_batch(batch.stats.steps, batch.stats.tasks,
-                    batch.stats.cpu_seconds);
   return batch;
 }
 

@@ -18,10 +18,9 @@ std::atomic<CostLedger*>& active_slot() noexcept {
 }
 
 constexpr const char* kFieldNames[kCostFieldCount] = {
-    "steps",        "walks",     "handoffs",     "stitches",
-    "stitch_steps", "tokens",    "cache_hits",   "cache_misses",
-    "coalesced",    "queue_wait_us", "cpu_us",   "batches",
-    "rejected",     "deadline_misses", "failures",
+    "steps",    "walks",   "cache_hits", "cache_misses",    "coalesced",
+    "queue_wait_us", "cpu_us", "batches",  "rejected",  "deadline_misses",
+    "failures",
 };
 
 }  // namespace
@@ -157,8 +156,7 @@ CostRecord CostLedger::totals() const {
 
 namespace {
 
-constexpr CostField kRankFields[] = {CostField::kSteps, CostField::kHandoffs,
-                                     CostField::kCpuUs};
+constexpr CostField kRankFields[] = {CostField::kSteps, CostField::kCpuUs};
 
 void write_fields(JsonWriter& w, const std::array<std::uint64_t,
                                                   kCostFieldCount>& v) {

@@ -1,13 +1,11 @@
 // Per-query cost attribution: who burned those 40M walk steps?
 //
-// The paper prices its estimators in walk steps, and the distributed-walk
-// line (Das Sarma et al.) treats messages — our shard handoffs — as THE
-// cost metric. CostLedger makes both first-class per (tenant, query): the
-// serve broker opens one QueryContext per admitted query, the context id
-// rides every layer underneath (Waiter -> PendingBatch -> CostScope ->
-// WalkToken.ctx across shard handoffs), and every charge site attributes
-// walk steps, handoffs, stitched segments, cache hits/misses, queue wait
-// and thread-CPU slices to exactly one context.
+// The paper prices its estimators in walk steps. CostLedger makes that
+// price first-class per (tenant, query): the serve broker opens one
+// QueryContext per admitted query, the context id rides every layer
+// underneath (Waiter -> PendingBatch -> CostScope around the batch call),
+// and every charge site attributes walk steps, walks, cache hits/misses,
+// queue wait and thread-CPU slices to exactly one context.
 //
 // Concurrency model mirrors obs/metrics.hpp: charges land on one of
 // kShards cache-line-padded relaxed atomic cells picked by the caller's
@@ -62,10 +60,6 @@ struct QueryContext {
 enum class CostField : std::uint8_t {
   kSteps = 0,        ///< walk steps (the paper's price unit)
   kWalks,            ///< tours / samples / trials completed
-  kHandoffs,         ///< shard migrations (Das Sarma message cost)
-  kStitches,         ///< stitched tour segments
-  kStitchSteps,      ///< steps inside stitched segments
-  kTokens,           ///< walk tokens thawed (conservation cross-check)
   kCacheHits,
   kCacheMisses,
   kCoalesced,        ///< waiters that rode an existing batch
@@ -94,7 +88,6 @@ struct CostRecord {
     return v[static_cast<std::size_t>(f)];
   }
   std::uint64_t steps() const noexcept { return get(CostField::kSteps); }
-  std::uint64_t handoffs() const noexcept { return get(CostField::kHandoffs); }
   std::uint64_t cpu_us() const noexcept { return get(CostField::kCpuUs); }
 };
 
@@ -108,7 +101,7 @@ class CostLedger {
   static constexpr std::size_t kShards = 8;
 
   /// `metrics` (optional) receives mirrored global cost.* families on
-  /// every charge: cost.steps, cost.handoffs, cost.cpu_us, ... plus the
+  /// every charge: cost.steps, cost.walks, cost.cpu_us, ... plus the
   /// cost.contexts gauge and the cost.dropped_contexts counter.
   explicit CostLedger(MetricsRegistry* metrics = nullptr);
   ~CostLedger();
@@ -184,7 +177,7 @@ class CostLedger {
 };
 
 /// Writes the /costs JSON document: ledger totals plus top-K tenants and
-/// queries ranked by steps, handoffs and cpu_us, each with absolute value,
+/// queries ranked by steps and cpu_us, each with absolute value,
 /// share of total and cumulative share.
 void write_costs_json(JsonWriter& w, const CostLedger& ledger, std::size_t k);
 
@@ -209,7 +202,8 @@ inline std::uint32_t cost_current() noexcept {
   return detail::cost_current_ref();
 }
 
-/// Charges to an explicit context (e.g. the id ridden in a WalkToken).
+/// Charges to an explicit context (e.g. a waiter's own, off the batch
+/// thread).
 inline void cost_charge_ctx(std::uint32_t ctx, CostField f,
                             std::uint64_t delta) noexcept {
   if (delta == 0) return;

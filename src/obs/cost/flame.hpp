@@ -10,11 +10,11 @@
 // stacks across threads.
 //
 // Attribution: a span whose argument key is "cost_ctx" (the serve broker
-// and the sharded engine both emit one around every batch) scopes its
-// whole subtree to that CostLedger context; the folder splices
-// "tenant=<t>;query=<id>" frames in at that point, so the flamegraph
-// answers "who's eating my cluster" the same way /costs does. Context 0
-// and spans outside any cost.ctx span fold unprefixed.
+// emits one around every batch) scopes its whole subtree to that
+// CostLedger context; the folder splices "tenant=<t>;query=<id>" frames in
+// at that point, so the flamegraph answers "who's eating my cluster" the
+// same way /costs does. Context 0 and spans outside any cost.ctx span fold
+// unprefixed.
 //
 // Output is the de-facto collapsed format consumed by flamegraph.pl,
 // speedscope and inferno: `frame;frame;frame <count>\n`, lines sorted, so

@@ -60,7 +60,7 @@ std::string format_double(double v) {
 /// `# HELP` text for a metric. Scrapers and the exposition-format linters
 /// treat a TYPE without a HELP as a malformed family, so every metric gets
 /// one — derived from the registry name, which is already descriptive
-/// ("serve.request_latency_us", "shard.handoff_latency_us").
+/// ("serve.request_latency_us", "serve.batch_wall_us").
 void append_help(std::string& out, const std::string& pname,
                  const std::string& raw_name, const char* kind) {
   out += "# HELP " + pname + " Overcount " + kind + " '" + raw_name + "'.\n";

@@ -19,9 +19,8 @@
 //
 // OVERCOUNT_HEALTH=OFF (CMake) compiles the hook helpers away, exactly like
 // OVERCOUNT_TRACE=OFF does for spans: health_active() becomes constant
-// false, health_raise() becomes empty, and Heartbeat ticks fold out
-// (watchdog.hpp). The HealthCenter class itself stays available either way,
-// like TraceRecorder does.
+// false and health_raise() becomes empty. The HealthCenter class itself
+// stays available either way, like TraceRecorder does.
 #pragma once
 
 #include <atomic>
@@ -51,13 +50,13 @@ enum class HealthSeverity : std::uint8_t { kInfo = 0, kWarn = 1, kCritical = 2 }
 const char* to_string(HealthSeverity severity) noexcept;
 
 /// One broken promise, machine-readable. `code` is the stable key alert
-/// routing matches on ("shard.superstep_stall", "serve.slo_breach",
+/// routing matches on ("serve.queue_saturated", "serve.slo_breach",
 /// "audit.variance_envelope", ...); `value`/`threshold` say how far past the
 /// envelope the observation landed.
 struct HealthEvent {
   HealthSeverity severity = HealthSeverity::kInfo;
   std::string code;
-  std::string subsystem;  ///< "shard", "serve", "audit", ...
+  std::string subsystem;  ///< "serve", "audit", ...
   std::string message;    ///< human-readable detail
   double value = 0.0;     ///< observed value
   double threshold = 0.0; ///< the envelope it was checked against

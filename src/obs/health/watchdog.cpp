@@ -20,13 +20,6 @@ Watchdog::Watchdog(HealthCenter* health, WatchdogConfig config)
 
 Watchdog::~Watchdog() { stop(); }
 
-void Watchdog::watch_heartbeat(std::string code, std::string subsystem,
-                               const Heartbeat* hb,
-                               std::uint64_t stall_after_us) {
-  heartbeat_checks_.push_back(
-      {std::move(code), std::move(subsystem), hb, stall_after_us, 0, false});
-}
-
 void Watchdog::watch_level(std::string code, std::string subsystem,
                            std::function<double()> value, double threshold,
                            std::uint64_t sustain_us) {
@@ -37,27 +30,6 @@ void Watchdog::watch_level(std::string code, std::string subsystem,
 std::size_t Watchdog::poll_once() {
   const std::uint64_t now = config_.now_us();
   std::size_t raised = 0;
-  for (HeartbeatCheck& c : heartbeat_checks_) {
-    if (!c.hb->armed()) {
-      c.tripped = false;
-      continue;
-    }
-    const std::uint64_t beats = c.hb->beats();
-    if (c.tripped && beats != c.tripped_at_beats) c.tripped = false;
-    const std::uint64_t last = c.hb->last_beat_us();
-    const std::uint64_t silent = now > last ? now - last : 0;
-    if (!c.tripped && silent >= c.stall_after_us) {
-      c.tripped = true;
-      c.tripped_at_beats = beats;
-      trips_.fetch_add(1, std::memory_order_relaxed);
-      ++raised;
-      if (health_ != nullptr)
-        health_->raise(HealthSeverity::kCritical, c.code, c.subsystem,
-                       "heartbeat armed but silent",
-                       static_cast<double>(silent),
-                       static_cast<double>(c.stall_after_us));
-    }
-  }
   for (LevelCheck& c : level_checks_) {
     const double v = c.value();
     if (v < c.threshold) {

@@ -57,8 +57,9 @@ namespace overcount {
 /// One recorded trace event. `phase` follows the Chrome trace_event format:
 /// 'X' = complete span (ts + dur), 'i' = instant, and the flow triplet
 /// 's'/'t'/'f' (flow start / step / end) that draws causal arrows between
-/// slices on different threads — the mechanism that links one walk's hops
-/// across shard handoffs. Flow events carry `flow` as their binding id.
+/// slices on different threads — the mechanism that links one piece of
+/// work (a request, a walk) across the threads that handle it. Flow events
+/// carry `flow` as their binding id.
 struct TraceEvent {
   const char* name = nullptr;  ///< static string literal
   const char* cat = nullptr;   ///< static category literal
@@ -154,8 +155,8 @@ class TraceRecorder {
 
   /// Hands out process-unique flow-id blocks: a caller seeding m walks grabs
   /// `reserve_flow_ids(m)` once and assigns base+walk to each, so ids never
-  /// collide across batches, engines or recorder reinstalls. Never returns 0
-  /// (0 means "untraced" in WalkToken).
+  /// collide across batches or recorder reinstalls. Never returns 0 (0
+  /// means "untraced").
   static std::uint64_t reserve_flow_ids(std::uint64_t count) noexcept {
     static std::atomic<std::uint64_t> next{1};
     return next.fetch_add(count, std::memory_order_relaxed);
@@ -266,7 +267,7 @@ inline void trace_instant(const char* cat, const char* name,
 }
 
 /// Records a flow event ('s'/'t'/'f') if a recorder is installed. No-op for
-/// flow_id 0, the "untraced" sentinel, so callers can pass a token's flow id
+/// flow_id 0, the "untraced" sentinel, so callers can pass a flow id
 /// through unconditionally.
 inline void trace_flow(const char* cat, const char* name, char phase,
                        std::uint64_t flow_id, const char* arg_name = nullptr,

@@ -59,8 +59,8 @@ struct EstimateRequest {
   /// forces a fresh batch; the result still lands in the cache.
   bool allow_cached = true;
   /// Accounting principal for the cost ledger (obs/cost/): every walk
-  /// step, handoff, cache hit and queue wait this request causes is
-  /// charged to (tenant, query). Empty = "anonymous". Does not influence
+  /// step, cache hit and queue wait this request causes is charged to
+  /// (tenant, query). Empty = "anonymous". Does not influence
   /// caching, coalescing or scheduling — two tenants asking the same
   /// question still share one batch.
   std::string tenant;

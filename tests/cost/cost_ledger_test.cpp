@@ -69,11 +69,11 @@ TEST(CostLedger, ChargesToUnknownContextsLandOnTheSink) {
   CostLedger ledger;
   const std::uint32_t ctx = ledger.open(make_context("acme", 1));
   ledger.charge(ctx, CostField::kSteps, 10);
-  ledger.charge(99, CostField::kSteps, 7);      // never opened
-  ledger.charge(12345, CostField::kTokens, 3);  // never opened
+  ledger.charge(99, CostField::kSteps, 7);     // never opened
+  ledger.charge(12345, CostField::kWalks, 3);  // never opened
   EXPECT_EQ(ledger.fold(ctx).steps(), 10u);
   EXPECT_EQ(ledger.unattributed().steps(), 7u);
-  EXPECT_EQ(ledger.unattributed().get(CostField::kTokens), 3u);
+  EXPECT_EQ(ledger.unattributed().get(CostField::kWalks), 3u);
   // Totals see everything exactly once.
   EXPECT_EQ(ledger.totals().steps(), 17u);
 }
@@ -107,14 +107,15 @@ TEST(CostLedger, ConcurrentChargesFoldExactly) {
     threads.emplace_back([&] {
       for (std::uint64_t i = 0; i < kChargesPerThread; ++i) {
         ledger.charge(ctx, CostField::kSteps, 3);
-        ledger.charge(ctx, CostField::kHandoffs, 1);
+        ledger.charge(ctx, CostField::kWalks, 1);
       }
     });
   for (auto& t : threads) t.join();
   // Exact, not approximate: the per-thread shards are summed in a
   // deterministic fold, so nothing is lost to contention.
   EXPECT_EQ(ledger.fold(ctx).steps(), 3 * kThreads * kChargesPerThread);
-  EXPECT_EQ(ledger.fold(ctx).handoffs(), kThreads * kChargesPerThread);
+  EXPECT_EQ(ledger.fold(ctx).get(CostField::kWalks),
+            kThreads * kChargesPerThread);
 }
 
 TEST(CostLedger, RegistryMirrorTracksLedgerTotals) {
@@ -182,7 +183,7 @@ TEST(CostLedger, WriteCostsJsonEmitsRankingsWithMonotoneShares) {
   ledger.charge(a, CostField::kSteps, 600);
   ledger.charge(b, CostField::kSteps, 300);
   ledger.charge(c, CostField::kSteps, 100);
-  ledger.charge(b, CostField::kHandoffs, 9);
+  ledger.charge(b, CostField::kCpuUs, 9);
 
   std::ostringstream os;
   JsonWriter w(os);
@@ -224,11 +225,10 @@ TEST(CostLedger, WriteCostsJsonEmitsRankingsWithMonotoneShares) {
     EXPECT_GE(q.find("cum_share")->as_number(), prev);  // monotone
     prev = q.find("cum_share")->as_number();
   }
-  // Only bee spent handoffs; the zero rows do not pad the ranking.
-  const auto& by_handoffs =
-      doc.find("top_queries")->find("by_handoffs")->as_array();
-  ASSERT_EQ(by_handoffs.size(), 1u);
-  EXPECT_EQ(by_handoffs[0].find("tenant")->as_string(), "bee");
+  // Only bee spent CPU; the zero rows do not pad the ranking.
+  const auto& by_cpu = doc.find("top_queries")->find("by_cpu_us")->as_array();
+  ASSERT_EQ(by_cpu.size(), 1u);
+  EXPECT_EQ(by_cpu[0].find("tenant")->as_string(), "bee");
 
   // k truncates.
   std::ostringstream os1;

@@ -1,9 +1,8 @@
-// Watchdog semantics under a fully injected clock: a heartbeat that stops
-// beating while armed trips exactly once per stall episode (a fresh beat
-// re-arms it, disarming silences it), and a level check only trips after
-// its threshold has been held for the sustain window — momentary spikes
-// are normal, plateaus are the problem. Every trip is a kCritical
-// HealthEvent through the wired center.
+// Watchdog semantics under a fully injected clock: a level check only
+// trips after its threshold has been held for the sustain window —
+// momentary spikes are normal, plateaus are the problem — and trips once
+// per episode. Every trip is a kCritical HealthEvent through the wired
+// center.
 #include "obs/health/watchdog.hpp"
 
 #include <gtest/gtest.h>
@@ -24,64 +23,6 @@ struct ManualClock {
     return cfg;
   }
 };
-
-TEST(Watchdog, HeartbeatStallTripsOncePerEpisode) {
-  HealthCenter center;
-  ManualClock clock;
-  Watchdog dog(&center, clock.config());
-  Heartbeat hb;
-  dog.watch_heartbeat("shard.superstep_stall", "shard", &hb, 500'000);
-
-  hb.arm();
-  hb.beat_at(clock.now);
-  EXPECT_EQ(dog.poll_once(), 0u);  // fresh beat: healthy
-
-  clock.now += 499'999;
-  EXPECT_EQ(dog.poll_once(), 0u);  // just inside the allowance
-
-  clock.now += 1;
-  EXPECT_EQ(dog.poll_once(), 1u);  // 500 ms of silence while armed
-  EXPECT_EQ(dog.trips(), 1u);
-  // Still silent: the SAME stall episode must not re-alarm every poll.
-  clock.now += 2'000'000;
-  EXPECT_EQ(dog.poll_once(), 0u);
-  EXPECT_EQ(dog.trips(), 1u);
-
-  // Progress resumed, then stalled again: a new episode, a new trip.
-  hb.beat_at(clock.now);
-  EXPECT_EQ(dog.poll_once(), 0u);
-  clock.now += 600'000;
-  EXPECT_EQ(dog.poll_once(), 1u);
-  EXPECT_EQ(dog.trips(), 2u);
-
-  const auto events = center.recent();
-  ASSERT_EQ(events.size(), 2u);
-  for (const HealthEvent& e : events) {
-    EXPECT_EQ(e.severity, HealthSeverity::kCritical);
-    EXPECT_EQ(e.code, "shard.superstep_stall");
-    EXPECT_EQ(e.subsystem, "shard");
-    EXPECT_GE(e.value, 500'000.0);  // observed silence
-    EXPECT_EQ(e.threshold, 500'000.0);
-  }
-}
-
-TEST(Watchdog, DisarmedHeartbeatNeverAlarms) {
-  HealthCenter center;
-  ManualClock clock;
-  Watchdog dog(&center, clock.config());
-  Heartbeat hb;
-  dog.watch_heartbeat("shard.superstep_stall", "shard", &hb, 100);
-  // Never armed: an idle engine is not a stalled engine.
-  clock.now += 10'000'000;
-  EXPECT_EQ(dog.poll_once(), 0u);
-  // Armed, stalled, then disarmed before the poll: batch finished, no alarm.
-  hb.arm();
-  hb.beat_at(clock.now);
-  clock.now += 10'000'000;
-  hb.disarm();
-  EXPECT_EQ(dog.poll_once(), 0u);
-  EXPECT_EQ(dog.trips(), 0u);
-}
 
 TEST(Watchdog, LevelCheckRequiresSustainedPlateau) {
   HealthCenter center;
@@ -145,8 +86,9 @@ TEST(Watchdog, BackgroundThreadStartStopIsIdempotent) {
   WatchdogConfig cfg;
   cfg.poll_period_us = 1'000;
   Watchdog dog(&center, cfg);
-  Heartbeat hb;  // never armed: no trips expected
-  dog.watch_heartbeat("shard.superstep_stall", "shard", &hb, 1);
+  // Never above threshold: no trips expected.
+  dog.watch_level("serve.queue_saturated", "serve", [] { return 0.0; }, 1.0,
+                  0);
   dog.start();
   dog.start();
   dog.stop();

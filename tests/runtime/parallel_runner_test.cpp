@@ -255,16 +255,6 @@ TEST(ParallelBatches, ScTrialsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.sum_ml, eight.sum_ml);
 }
 
-TEST(ParallelBatches, MetropolisBitIdenticalAcrossThreadCounts) {
-  const Graph g = test_graph();
-  const auto one = run_metropolis_samples(g, 0, 300, /*steps=*/64,
-                                          /*seed=*/17, 1u);
-  const auto eight = run_metropolis_samples(g, 0, 300, 64, 17, 8u);
-  for (std::size_t i = 0; i < 300; ++i)
-    EXPECT_EQ(one.samples[i].node, eight.samples[i].node) << i;
-  EXPECT_EQ(one.total_hops, eight.total_hops);
-}
-
 TEST(ParallelBatches, ReusedRunnerMatchesThrowawayPool) {
   const Graph g = test_graph();
   ParallelRunner runner(3);

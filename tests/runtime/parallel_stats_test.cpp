@@ -129,20 +129,5 @@ TEST(ParallelStats, ErlangLawOfScTrialsSurvivesParallelism) {
   EXPECT_GT(ks.p_value, 1e-3) << "ks=" << ks.statistic;
 }
 
-TEST(ParallelStats, MetropolisSamplesAreUnbiasedOnStar) {
-  // The Metropolis walk's stationary law is uniform; after enough steps the
-  // hub rate of a parallel batch must be near 1/n, not the DTRW's 1/2.
-  const Graph g = star(21);
-  const auto batch = run_metropolis_samples(g, 1, 6000, /*steps=*/200,
-                                            /*seed=*/312, 4u);
-  std::size_t hub = 0;
-  for (const auto& s : batch.samples)
-    if (s.node == 0) ++hub;
-  const double hub_rate =
-      static_cast<double>(hub) / static_cast<double>(batch.samples.size());
-  // 1/21 ~ 4.8%; binomial se over 6000 draws ~ 0.28%, bound is ~10 se.
-  EXPECT_NEAR(hub_rate, 1.0 / 21.0, 0.03);
-}
-
 }  // namespace
 }  // namespace overcount

@@ -56,8 +56,6 @@ TEST(ContractGating, BatchEntryRejectsIsolatedOriginInAllBuilds) {
     EXPECT_THROW(run_samples(g, 2, 32, 1.0, 7, runner), precondition_error);
     EXPECT_THROW(run_sc_trials(g, 2, 32, 1.0, 2, 7, runner),
                  precondition_error);
-    EXPECT_THROW(run_metropolis_samples(g, 2, 32, 10, 7, runner),
-                 precondition_error);
   }
 }
 

@@ -95,6 +95,23 @@ TEST(MetropolisSampler, SamplesRoughlyUniformOnStar) {
   EXPECT_LT(hub_rate, 0.35);  // far below the DTRW's ~0.5
 }
 
+TEST(MetropolisSampler, HubRateNearOneOverNOnStar) {
+  // The Metropolis walk's stationary law is uniform; after enough steps the
+  // hub rate must be near 1/n, not the DTRW's 1/2. Each draw runs on its
+  // own split stream of one master seed.
+  const Graph g = star(21);
+  Rng master(312);
+  const int draws = 6000;
+  std::size_t hub = 0;
+  for (int i = 0; i < draws; ++i) {
+    MetropolisSampler<Graph> sampler(g, /*steps=*/200, master.split());
+    if (sampler.sample(1).node == 0) ++hub;
+  }
+  const double hub_rate = static_cast<double>(hub) / draws;
+  // 1/21 ~ 4.8%; binomial se over 6000 draws ~ 0.28%, bound is ~10 se.
+  EXPECT_NEAR(hub_rate, 1.0 / 21.0, 0.03);
+}
+
 TEST(MetropolisSampler, ProbesExceedAcceptedHops) {
   Rng rng(6);
   const Graph g = star(12);
